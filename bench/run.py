@@ -1,6 +1,6 @@
 """djunta benchmark: seeded workloads, end-to-end metrics, a traced per-layer run.
 
-    python3 bench/run.py --workload accept-junta --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload accept-junta --seed 1 --seconds 35 --trace 0
     python3 bench/run.py --workload all     # every workload, one after another
 
 With --trace 0 one workload is measured with tracing off: set-up is done
@@ -9,10 +9,12 @@ closed loop with one client until the window closes and at least the
 workload's counted prefix is done.  Every operation's outcome is checked,
 and a failed one is counted in error_rate without stopping the run.
 
-With --trace 1 the counted prefix runs once untraced and once under the
-outside-in tracer of tracing.py, after a traced set-up; the report gives
-per-layer metrics, the tracing overhead, and whether the two runs' verdict
-digests agree.
+With --trace 1 the first quarter of the counted prefix (TRACE_SHARE) runs
+once untraced and once under the outside-in tracer of tracing.py, after a
+traced set-up; the report gives per-layer metrics, the tracing overhead,
+and whether the two runs' verdict digests agree.  The quarter covers every
+kind of op of each workload and keeps a traced run near the length of an
+untraced one, although tracing makes the hot leaves several times slower.
 
 For one workload, the last line of standard output is one JSON object
 with the keys correct, attempted, failed and metrics.  The lines before it
@@ -38,13 +40,16 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SCRATCH = ROOT / ".bench_tmp"
 
 DEFAULT_SEED = 1
 HELDOUT_SEED = 9001
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
+TRACE_SHARE = 4
 WORKLOAD_NAMES = ("accept-junta", "reject-hard", "certify-cli")
 
 END_TO_END = (
@@ -110,29 +115,20 @@ def digest(results) -> str:
     return h.hexdigest()
 
 
-def percentile(values, q: float) -> float:
-    """Linear-interpolated percentile of a nonempty list (q in 0..100)."""
-    vals = sorted(values)
-    pos = (len(vals) - 1) * q / 100
-    lo = int(pos)
-    hi = min(lo + 1, len(vals) - 1)
-    return vals[lo] + (vals[hi] - vals[lo]) * (pos - lo)
-
-
 def end_to_end(results, counted: int, wall: float, setup_s: float) -> dict[str, float]:
     ok = [r for r in results if r.error is None]
     prefix = [r for r in results[:counted] if r.error is None]
     times = [r.seconds for r in ok] or [0.0]
     # Per-op cost per charged unit, then the median: a mean would be ruled
-    # by the few main_djunta runs that promote blocks.  On certify-cli the
-    # op is the whole pipeline and the charges are its test step's.
-    per_query = [r.seconds / (r.queries + r.samples) for r in ok if r.queries + r.samples]
+    # by the few main_djunta runs that promote blocks.  The time is that of
+    # the tester call alone, which on certify-cli is the test step.
+    per_query = [r.test_seconds / (r.queries + r.samples) for r in ok if r.queries + r.samples]
     return {
         "setup_s": setup_s,
-        "op_ms_p50": 1e3 * percentile(times, 50),
-        "op_ms_p90": 1e3 * percentile(times, 90),
+        "op_ms_p50": 1e3 * np.percentile(times, 50),
+        "op_ms_p90": 1e3 * np.percentile(times, 90),
         "ops_per_s": len(results) / wall,
-        "us_per_query": 1e6 * percentile(per_query or [0.0], 50),
+        "us_per_query": 1e6 * np.median(per_query or [0.0]),
         "queries_per_op": sum(r.queries for r in prefix) / max(1, len(prefix)),
         "samples_per_op": sum(r.samples for r in prefix) / max(1, len(prefix)),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -166,10 +162,8 @@ def crossover_rows() -> list[str]:
 
 
 def stamp(wl, seed: int, attempted: int) -> str:
-    import numpy
-
     return (
-        f"stamp  python {platform.python_version()}, numpy {numpy.__version__}, "
+        f"stamp  python {platform.python_version()}, numpy {np.__version__}, "
         f"nproc {os.cpu_count()}, workload {wl.name}, seed {seed} "
         f"(default {DEFAULT_SEED}, held-out {HELDOUT_SEED}), ops {attempted} "
         f"(counted prefix {wl.counted_ops}), closed loop, 1 client, 1 thread"
@@ -219,12 +213,14 @@ def measure(wl, seed: int, seconds: float) -> tuple[dict, list[str]]:
 
 
 def measure_traced(wl, seed: int) -> tuple[dict, list[str]]:
-    """Traced run over the counted prefix, checked against an untraced one."""
+    """Traced run over the start of the counted prefix, checked against an
+    untraced run of the same ops."""
     from tracing import LAYERS, Tracer, metric_specs
 
+    count = -(-wl.counted_ops // TRACE_SHARE)
     state = wl.setup(seed)
     try:
-        plain, wall_plain = run_ops(wl, state, seed, wl.counted_ops)
+        plain, wall_plain = run_ops(wl, state, seed, count)
     finally:
         wl.close(state)
     tracer = Tracer()
@@ -232,7 +228,7 @@ def measure_traced(wl, seed: int) -> tuple[dict, list[str]]:
     try:
         state = wl.setup(seed)
         try:
-            traced, wall_traced = run_ops(wl, state, seed, wl.counted_ops)
+            traced, wall_traced = run_ops(wl, state, seed, count)
         finally:
             wl.close(state)
     finally:
@@ -246,7 +242,7 @@ def measure_traced(wl, seed: int) -> tuple[dict, list[str]]:
         f"tracing  untraced {wall_plain:.3f} s, traced {wall_traced:.3f} s, "
         f"overhead {wall_traced - wall_plain:.3f} s over {len(traced)} ops"
     )
-    lines.append(f"digest  untraced sha256 {d_plain}")
+    lines.append(f"digest  untraced sha256 {d_plain} over the first {count} ops")
     lines.append(f"digest  traced   sha256 {d_traced} ({'match' if d_plain == d_traced else 'MISMATCH'})")
     for site in tracer.missing:
         lines.append(f"not traced  {site} (site not found)")
@@ -265,9 +261,12 @@ def measure_traced(wl, seed: int) -> tuple[dict, list[str]]:
     for name, _, _ in specs[-6:]:
         lines.append(f"{name:<48} {values[name]:.6g}")
     paths = sorted(tracer.span_paths().items(), key=lambda kv: -kv[1][2])
-    lines.append(f"span paths  {len(tracer.spans) - 1} spans; top by self time:")
-    for path, (count, total, own) in paths[:12]:
+    lines.append(f"span paths  {len(tracer.spans) - 1} spans; top by self time, "
+                 "with the hot leaves called directly under each:")
+    for path, (count, total, own, leaves) in paths[:12]:
         lines.append(f"  {own:9.4f} s self {total:9.4f} s total {count:>8} x {path}")
+        for leaf, (calls, secs) in sorted(leaves.items(), key=lambda kv: -kv[1][1])[:3]:
+            lines.append(f"  {'':>9}   leaf {secs:9.4f} s in {calls:>8} x {leaf}")
     lines += report_failures(plain + traced)
     failed = sum(r.error is not None for r in plain + traced)
     doc = {
@@ -283,7 +282,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True, choices=WORKLOAD_NAMES + ("all",))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--seconds", type=float, default=35.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
     if not 0 <= args.seed < 2**31:

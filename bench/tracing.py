@@ -207,29 +207,6 @@ class Tracer:
         hook = layer.hook
         at = layer.oracle_at
         perf = perf_counter
-
-        if layer.kind == LEAF and at is None and hook is None:
-            def leaf(*args, **kw):
-                saved = acc[0]
-                acc[0] = 0.0
-                t0 = perf()
-                try:
-                    return fn(*args, **kw)
-                finally:
-                    dt = perf() - t0
-                    st.calls += 1
-                    st.total += dt
-                    st.self_s += dt - acc[0]
-                    acc[0] = saved + dt
-                    tally = cur[0].leaves.get(name)
-                    if tally is None:
-                        cur[0].leaves[name] = [1, dt]
-                    else:
-                        tally[0] += 1
-                        tally[1] += dt
-
-            return leaf
-
         spans = self.spans
         is_span = layer.kind == SPAN
 
@@ -299,15 +276,22 @@ class Tracer:
         return out
 
     def span_paths(self) -> dict[str, list]:
-        """Spans aggregated by their chain of ancestors:
-        path -> [spans, seconds, self seconds]."""
-        path_of = {0: ""}
+        """Spans aggregated by their chain of ancestors: path -> [spans,
+        seconds, self seconds, {leaf layer: [calls, seconds]}], the leaf
+        tallies being those made while a span of the path was innermost.
+        Leaf calls made outside every span fall under the root's path."""
+        path_of = {0: self.root.name}
         agg: dict[str, list] = {}
-        for sp in self.spans[1:]:  # parents are appended before their children
-            path = f"{path_of[sp.parent]}/{sp.name}" if sp.parent else sp.name
-            path_of[sp.id] = path
-            a = agg.setdefault(path, [0, 0.0, 0.0])
+        for sp in self.spans:  # parents are appended before their children
+            if sp.id:
+                up = path_of[sp.parent]
+                path_of[sp.id] = f"{up}/{sp.name}" if sp.parent else sp.name
+            a = agg.setdefault(path_of[sp.id], [0, 0.0, 0.0, {}])
             a[0] += 1
             a[1] += sp.end - sp.start
             a[2] += sp.self_s
+            for leaf, (calls, secs) in sp.leaves.items():
+                tally = a[3].setdefault(leaf, [0, 0.0])
+                tally[0] += calls
+                tally[1] += secs
         return agg
