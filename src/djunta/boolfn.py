@@ -95,15 +95,22 @@ class BitFeed:
     and hands out slices.  take(nb) returns the next nb bits as an int,
     consuming the stream in order; for a fixed seed the stream, and hence
     the whole run, is reproducible.
+
+    Batched loops read ahead with peek_block(), which returns already
+    buffered bits as a word array without consuming them, and then skip()
+    exactly the bits they used.  Neither touches the generator, so a
+    peek_block/skip pair leaves the feed, and `rng` for callers that draw
+    from it directly, where the same bits taken by take() would.
     """
 
-    __slots__ = ("rng", "_words", "_i", "_rem", "_rembits")
+    __slots__ = ("rng", "_words", "_arr", "_i", "_rem", "_rembits")
 
     _CHUNK_WORDS = 1024
 
     def __init__(self, rng):
         self.rng = rng
         self._words = ()
+        self._arr = np.zeros(0, dtype="<u8")
         self._i = 0
         self._rem = 0
         self._rembits = 0
@@ -119,7 +126,8 @@ class BitFeed:
         while have < nbits:
             if self._i >= len(self._words):
                 raw = self.rng.bytes(self._CHUNK_WORDS * 8)
-                self._words = np.frombuffer(raw, dtype="<u8").tolist()
+                self._arr = np.frombuffer(raw, dtype="<u8")
+                self._words = self._arr.tolist()
                 self._i = 0
             v |= self._words[self._i] << have
             self._i += 1
@@ -127,6 +135,55 @@ class BitFeed:
         self._rem = v >> nbits
         self._rembits = have - nbits
         return v & ((1 << nbits) - 1)
+
+    def buffered(self) -> int:
+        """Bits that take() can hand out before it next calls the generator."""
+        return self._rembits + 64 * (len(self._words) - self._i)
+
+    def peek_block(self, width: int, rows: int) -> np.ndarray:
+        """The next `rows` fields of `width` bits each, left unconsumed.
+
+        Row j holds stream bits [j*width, (j+1)*width) as little-endian
+        uint64 words, shape (rows', ceil(width/64)), with the unused high
+        bits of the last word zero: the value take(width) would return for
+        that field.  Only buffered bits are read, so rows' is
+        min(rows, buffered() // width) and may be 0.
+        """
+        if width < 1:
+            raise ContractError(f"need width >= 1, got {width}")
+        rows = max(0, min(rows, self.buffered() // width))
+        wc = (width + 63) >> 6
+        nbits = rows * width
+        need = max(0, nbits - self._rembits)
+        bits = np.unpackbits(
+            self._arr[self._i : self._i + ((need + 63) >> 6)].view(np.uint8),
+            bitorder="little",
+        )
+        if self._rembits:
+            head = np.array([self._rem], dtype="<u8").view(np.uint8)
+            head = np.unpackbits(head, count=self._rembits, bitorder="little")
+            bits = np.concatenate((head, bits))
+        fields = np.zeros((rows, 64 * wc), dtype=np.uint8)
+        fields[:, :width] = bits[:nbits].reshape(rows, width)
+        return np.packbits(fields, axis=1, bitorder="little").view("<u8")
+
+    def skip(self, nbits: int) -> None:
+        """Consume nbits buffered bits, as take(nbits) would, unread."""
+        if not 0 <= nbits <= self.buffered():
+            raise ContractError(f"cannot skip {nbits} bits, {self.buffered()} buffered")
+        if nbits <= self._rembits:
+            self._rem >>= nbits
+            self._rembits -= nbits
+            return
+        q, r = divmod(nbits - self._rembits, 64)
+        self._i += q
+        if r:
+            self._rem = self._words[self._i] >> r
+            self._rembits = 64 - r
+            self._i += 1
+        else:
+            self._rem = 0
+            self._rembits = 0
 
 
 def ceil_log2(m: int) -> int:
@@ -247,6 +304,33 @@ class QueryCounter:
 
 # ---------------------------------------------------------------------------
 # function backends
+#
+# Each backend has a scalar `value(x)` on an int point and a batched
+# `values(X)` on a (rows, ceil(n/64)) array of little-endian uint64 words,
+# one point per row with the bits above n zero; `values` returns the rows'
+# values as uint8 and agrees with `value` row by row.
+
+
+def words_of(bits: int, nwords: int) -> np.ndarray:
+    """An int as `nwords` little-endian uint64 words."""
+    return np.frombuffer(bits.to_bytes(8 * nwords, "little"), dtype="<u8")
+
+
+def int_of_words(row: np.ndarray) -> int:
+    """Inverse of words_of for one row of a word array."""
+    return int.from_bytes(row.tobytes(), "little")
+
+
+def gather_rows(X: np.ndarray, coords: Sequence[int]) -> np.ndarray:
+    """gather_bits applied to every row of a word array, as uint64."""
+    c = np.asarray(coords, dtype=np.int64) - 1
+    bits = (X[:, c >> 6] >> (c & 63).astype(np.uint64)) & np.uint64(1)
+    return (bits << np.arange(len(c), dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+
+
+def table_lookup(packed: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Bit idx[i] of a little-endian packed uint8 table, for every i."""
+    return (packed[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1
 
 
 class TruthTableBackend:
@@ -273,6 +357,9 @@ class TruthTableBackend:
 
     def value(self, x: int) -> int:
         return self.table[x >> 3] >> (x & 7) & 1
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return table_lookup(np.frombuffer(self.table, dtype=np.uint8), X[:, 0])
 
     def table_bits(self) -> int:
         return int.from_bytes(self.table, "little")
@@ -309,6 +396,11 @@ class JuntaBackend:
                 idx |= 1 << t
         return self.table >> idx & 1
 
+    def values(self, X: np.ndarray) -> np.ndarray:
+        nbytes = ((1 << len(self.vars)) + 7) // 8
+        packed = np.frombuffer(self.table.to_bytes(nbytes, "little"), dtype=np.uint8)
+        return table_lookup(packed, gather_rows(X, self.vars))
+
 
 class RestrictionBackend:
     """Parent function with the coordinates outside `free_coords` pinned.
@@ -338,6 +430,18 @@ class RestrictionBackend:
             x >>= 1
             t += 1
         return self.parent.value(v)
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        # Scatter through a bit matrix: row bits -> parent coordinates.
+        nwords = (self.parent.n + 63) >> 6
+        free = np.unpackbits(
+            np.ascontiguousarray(X).view(np.uint8), axis=1, count=self.n, bitorder="little"
+        )
+        full = np.zeros((len(X), 64 * nwords), dtype=np.uint8)
+        full[:, self.shifts] = free
+        P = np.packbits(full, axis=1, bitorder="little").view("<u8")
+        P |= words_of(self.wbits, nwords)
+        return self.parent.values(P)
 
 
 def make_restriction_backend(parent, free_coords: Sequence[int], wbits: int):

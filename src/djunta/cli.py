@@ -75,7 +75,7 @@ def _load_function(path: str):
         if kind in ("yes_instance", "no_instance"):
             inst = instance_from_json(doc)
             return inst.oracle(), inst.D, inst.k
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, TypeError, OverflowError) as e:
         raise _CliError("parse", f"{path}: {e}") from e
     raise _CliError("parse", f"{path}: unknown kind {kind!r}")
 
@@ -88,7 +88,7 @@ def _pick_dist(arg: str | None, embedded, n: int) -> FiniteDistribution:
     doc = _load_doc(arg)
     try:
         D = FiniteDistribution.from_json(doc)
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, TypeError, OverflowError) as e:
         raise _CliError("parse", f"{arg}: {e}") from e
     if D.n != n:
         raise _CliError("usage", f"distribution over {D.n} coordinates, function over {n}")
@@ -175,7 +175,7 @@ def _cmd_verify(args) -> int:
     doc = _load_doc(args.witness)
     try:
         verdict = verdict_from_json(doc, f.n)
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, TypeError, OverflowError) as e:
         raise _CliError("parse", f"{args.witness}: {e}") from e
     ok = verify_witness(f, verdict.witness)
     _emit(_dump({"kind": "verify_report", "ok": ok, "blocks": len(verdict.witness)}), args.out)

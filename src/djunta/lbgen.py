@@ -31,11 +31,20 @@ from .boolfn import (
     QueryCounter,
     bits_to_hex,
     gather_bits,
+    gather_rows,
     hex_to_bits,
     rand_bits,
+    table_lookup,
 )
 from .dist import FiniteDistribution
 from .errors import ContractError, DimensionError, SizeError
+
+
+#: Most support points a generator will draw.  A point costs 170-340
+#: bytes (n = 64 to 1200) across the instance and its distribution, so the
+#: cap keeps an instance under about 100 MiB; the largest size in use,
+#: 16,336 at n = 1200, k = 6, is far below it.  Checked before any draw.
+MAX_SUPPORT_POINTS = 1 << 18
 
 
 def num_support_points(n: int, k: int) -> int:
@@ -52,6 +61,8 @@ def _draw_j_s(n: int, k: int, rng):
     if not 1 <= k <= n:
         raise DimensionError(f"need 1 <= k <= n, got k={k}, n={n}")
     m = num_support_points(n, k)
+    if m > MAX_SUPPORT_POINTS:
+        raise SizeError(f"support of {m} points exceeds the cap of {MAX_SUPPORT_POINTS}")
     if m > (1 << n):
         raise SizeError(f"support of {m} distinct strings does not fit in 2**{n}")
     J = frozenset(int(c) + 1 for c in rng.choice(n, size=k, replace=False))
@@ -130,7 +141,11 @@ class _HardLabelBackend:
     """Lazy point evaluation of a NoInstance's function."""
 
     kind = "no_construction"
-    __slots__ = ("n", "inst", "jcoords", "radius", "exact", "sections")
+    __slots__ = ("n", "inst", "jcoords", "radius", "exact", "sections", "_matrices")
+
+    #: Bound on the words one batched distance step holds per section, so
+    #: the xor temporaries of `values` stay near 256 KiB whatever the batch.
+    _STEP_WORDS = 1 << 15
 
     def __init__(self, inst: NoInstance):
         self.n = inst.n
@@ -143,6 +158,7 @@ class _HardLabelBackend:
             self.exact[p.bits] = lab
             key = gather_bits(p.bits, self.jcoords)
             self.sections.setdefault(key, []).append((p.bits, lab))
+        self._matrices = None
 
     def value(self, xbits: int) -> int:
         lab = self.exact.get(xbits)
@@ -160,6 +176,48 @@ class _HardLabelBackend:
                 return 0
         # No in-ball neighbor shares the section: background junta decides.
         return (self.inst.junta_table >> gather_bits(xbits, self.jcoords)) & 1
+
+    def _section_matrices(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Section key -> (its support points as a (ceil(n/64), size) word
+        matrix, one column a point; their uint8 codes 2 + label)."""
+        if self._matrices is None:
+            nbytes = 8 * ((self.n + 63) >> 6)
+            self._matrices = {}
+            for key, bucket in self.sections.items():
+                raw = b"".join(b.to_bytes(nbytes, "little") for b, _ in bucket)
+                pts = np.frombuffer(raw, dtype="<u8").reshape(len(bucket), -1)
+                codes = np.array([2 + lab for _, lab in bucket], dtype=np.uint8)
+                self._matrices[key] = (np.ascontiguousarray(pts.T), codes)
+        return self._matrices
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """Row-wise `value`, by the same exact-hit, ball and background rule.
+
+        Against each support point of its section a row scores 0 off the
+        ball, 2 + label in it and 4 + label on an exact hit.  The best
+        score, if any, carries the value in its low bit: the exact hit
+        wins, then an in-ball 1, then an in-ball 0.  Rows without a score,
+        empty sections' rows among them, keep the background junta's value.
+        """
+        keys = gather_rows(X, self.jcoords)
+        nbytes = ((1 << len(self.jcoords)) + 7) // 8
+        background = np.frombuffer(self.inst.junta_table.to_bytes(nbytes, "little"), np.uint8)
+        out = table_lookup(background, keys)
+        matrices = self._section_matrices()
+        for key in set(keys.tolist()):
+            sec = matrices.get(key)
+            if sec is None:
+                continue
+            pts, codes = sec
+            rows = np.flatnonzero(keys == key)
+            step = max(1, self._STEP_WORDS // pts.size)
+            for a in range(0, len(rows), step):
+                r = rows[a : a + step]
+                dist = np.bitwise_count(X[r, :, None] ^ pts).sum(axis=1, dtype=np.uint16)
+                score = (dist <= self.radius) * codes + (dist == 0) * np.uint8(2)
+                best = score.max(axis=1)
+                out[r] = np.where(best > 0, best & 1, out[r])
+        return out
 
 
 def eval_no(inst: NoInstance, x: BitString) -> int:

@@ -143,6 +143,40 @@ class TestErrors:
         assert run("gen-no", "--n", 4, "--k", 2, "--seed", 0) == 4
         assert "error: size:" in capsys.readouterr().err
 
+    def test_support_size_cap(self, capsys):
+        assert run("gen-no", "--n", 64, "--k", 20, "--seed", 0) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: size:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "junta", "n": None, "junta_vars": [1], "table": "2"},
+            {"kind": "junta", "n": 4, "junta_vars": 3, "table": "2"},
+            {"kind": "truth_table", "n": 2, "table": 5},
+            {"kind": "junta", "n": 1e999, "junta_vars": [1], "table": "2"},
+            {"kind": "no_instance", "n": [14], "k": 2, "seed": 0},
+        ],
+    )
+    def test_mistyped_function_file(self, tmp_path, capsys, doc):
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(doc))
+        assert run("test", "--tester", "simple", "--epsilon", 0.5, "--k", 1, "--in", p) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse:") and err.count("\n") == 1
+
+    def test_mistyped_distribution_and_witness(self, tmp_path, capsys):
+        f = tmp_path / "f.json"
+        run("gen-junta", "--n", 8, "--k", 2, "--seed", 0, "--out", f)
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps({"kind": "uniform_cube", "n": None}))
+        assert run("dist", "--k", 1, "--in", f, "--dist", d) == 2
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps({"outcome": "reject", "queries": 1, "samples": 0, "witness": [7]}))
+        assert run("verify", "--in", f, "--witness", w) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("error: parse:") for e in err)
+
     def test_usage_exit_from_argparse(self, capsys):
         assert run("test", "--tester", "simple") == 2
         capsys.readouterr()

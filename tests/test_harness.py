@@ -91,6 +91,14 @@ class TestRunTrials:
         assert rep.rejections == 0
         assert rep.sample_stats["max"] == 0
 
+    def test_uniform_tester_with_shared_config(self):
+        # The distribution-free config stands in for UniformTesterConfig(k, eps).
+        f, D = parity_far_instance(12, 2)
+        a = run_trials((f, D), "uniform", DFTesterConfig(k=2, epsilon=0.5), 5, seed=6)
+        b = run_trials((f, D), "uniform", UniformTesterConfig(k=2, epsilon=0.5), 5, seed=6)
+        assert a == b
+        assert a.rejections > 0
+
     def test_stats_shape(self):
         cfg = DFTesterConfig(k=1, epsilon=0.5)
         rep = run_trials(_junta_source(8, 1), "simple", cfg, 10, seed=0)

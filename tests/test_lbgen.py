@@ -20,6 +20,7 @@ from djunta import (
     num_support_points,
 )
 from djunta.errors import ContractError, DimensionError, SizeError
+from djunta.lbgen import MAX_SUPPORT_POINTS
 
 
 def test_support_size_formula():
@@ -107,6 +108,18 @@ def test_generation_validation():
     with pytest.raises(SizeError):
         # needs 200 distinct strings in a 16-point cube
         gen_no(4, 2, np.random.default_rng(0))
+
+
+def test_support_size_cap_fires_before_drawing():
+    # 156,992,580 points: refused from the formula, with nothing drawn
+    assert num_support_points(64, 20) > MAX_SUPPORT_POINTS
+    assert num_support_points(1200, 6) <= MAX_SUPPORT_POINTS
+    for gen in (gen_yes, gen_no):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(SizeError, match="cap"):
+            gen(64, 20, rng)
+        assert rng.bit_generator.state == before
 
 
 def test_is_scattered():

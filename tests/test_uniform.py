@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from djunta import (
+    BitFeed,
+    BitString,
     FunctionOracle,
     UniformTesterConfig,
     ceil_log2,
+    gen_no,
     literal_distance_uniform,
     rand_bits,
     uniform_junta,
     verify_witness,
 )
+from djunta import uniform as uniform_module
 from djunta.errors import ContractError, SizeError
 
 
@@ -148,3 +152,52 @@ def test_fit_size_guard():
     f = FunctionOracle.from_junta(21, (1,), 0b10)
     with pytest.raises(SizeError):
         literal_distance_uniform(f)
+
+
+# ---------------------------------------------------------------------------
+# batched rounds against the round-by-round loop
+
+
+def _xor_and_table(width):
+    """x1 xor (x2 and ... and x_width): x1 is found at once, the rest late."""
+    ones = (1 << (width - 1)) - 1
+    return sum(((z & 1) ^ (z >> 1 == ones)) << z for z in range(1 << width))
+
+
+def _batch_cases():
+    rng = np.random.default_rng(17)
+    hard = gen_no(300, 3, np.random.default_rng(3))
+    wide = FunctionOracle.from_junta(300, (5, 77, 290), 0b10010110)
+    tt = FunctionOracle.from_truth_table(20, _xor_and_table(8))
+    fixed = list(range(9, 21))
+    yield wide.fork, UniformTesterConfig(k=3, epsilon=1 / 3)  # crosses feed chunks
+    yield FunctionOracle.from_junta(64, range(1, 9), _xor_and_table(8)).fork, UniformTesterConfig(
+        k=1, epsilon=1 / 8
+    )
+    # every coordinate ends up relevant: the run stops on an empty open union
+    yield lambda: tt.fork().restrict(fixed, BitString(12, 0)), UniformTesterConfig(k=10, epsilon=1 / 8)
+    yield lambda: tt.fork().restrict(fixed, BitString(12, 5)), UniformTesterConfig(k=1, epsilon=1 / 24)
+    for _ in range(3):
+        free = sorted(int(c) + 1 for c in rng.choice(300, size=int(rng.integers(5, 150)), replace=False))
+        pinned = [c for c in range(1, 301) if c not in free]
+        w = BitString(len(pinned), rand_bits(rng, len(pinned)))
+        yield lambda w=w, pinned=pinned: hard.oracle().restrict(pinned, w), UniformTesterConfig(
+            k=1, epsilon=1 / 24, num_blocks=10
+        )
+
+
+def test_batched_rounds_match_scalar_rounds(monkeypatch):
+    """Verdicts, witnesses, counts and the feed's state after the call are
+    those of the round-by-round loop, which runs when batching is off."""
+
+    def run(make, cfg, seed):
+        feed = BitFeed(np.random.default_rng(seed))
+        f = make()
+        v = uniform_junta(f, cfg, feed)
+        return v, f.counter.snapshot(), feed.take(100), feed.rng.bit_generator.state
+
+    cases = list(_batch_cases())
+    batched = [run(make, cfg, s) for s in range(3) for make, cfg in cases]
+    monkeypatch.setattr(uniform_module, "_SCALAR_ROUNDS", 10**9)
+    scalar = [run(make, cfg, s) for s in range(3) for make, cfg in cases]
+    assert batched == scalar
