@@ -168,6 +168,7 @@ def _batch_cases():
     rng = np.random.default_rng(17)
     hard = gen_no(300, 3, np.random.default_rng(3))
     wide = FunctionOracle.from_junta(300, (5, 77, 290), 0b10010110)
+    # x1 xor (x2 and ... and x8) where x9..x20 are all 0, and 0 elsewhere
     tt = FunctionOracle.from_truth_table(20, _xor_and_table(8))
     fixed = list(range(9, 21))
     yield wide.fork, UniformTesterConfig(k=3, epsilon=1 / 3)  # crosses feed chunks
@@ -176,6 +177,7 @@ def _batch_cases():
     )
     # every coordinate ends up relevant: the run stops on an empty open union
     yield lambda: tt.fork().restrict(fixed, BitString(12, 0)), UniformTesterConfig(k=10, epsilon=1 / 8)
+    # constant: every round runs, most of them in batches
     yield lambda: tt.fork().restrict(fixed, BitString(12, 5)), UniformTesterConfig(k=1, epsilon=1 / 24)
     for _ in range(3):
         free = sorted(int(c) + 1 for c in rng.choice(300, size=int(rng.integers(5, 150)), replace=False))

@@ -59,7 +59,9 @@ def test_restriction_values(data):
     n = data.draw(st.integers(2, 10))
     base = data.draw(st.sampled_from(["truth_table", "junta"]))
     if base == "junta":
-        f = FunctionOracle.from_junta(n, range(1, n + 1, 2), data.draw(st.integers(0, (1 << (1 << len(range(1, n + 1, 2)))) - 1)))
+        vars = range(1, n + 1, 2)
+        table = data.draw(st.integers(0, (1 << (1 << len(vars))) - 1))
+        f = FunctionOracle.from_junta(n, vars, table)
     else:
         f = FunctionOracle.from_truth_table(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
     fixed = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1)))
@@ -171,7 +173,7 @@ def test_peek_block_skip_matches_take(width):
     fields = [plain.take(width) for _ in range(used)]
     assert [int.from_bytes(r.tobytes(), "little") for r in block[:used]] == fields
     ahead.skip(used * width)
-    more = [w for w in (3, 64, 129)]
+    more = (3, 64, 129)
     assert [plain.take(w) for w in more] == [ahead.take(w) for w in more]
     assert _state(plain) == _state(ahead)
 
