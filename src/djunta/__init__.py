@@ -12,8 +12,6 @@ from .boolfn import (
     block_of,
     ceil_log2,
     coords_of,
-    diff,
-    flip,
     full_truth_table,
     gather_bits,
     hex_to_bits,
@@ -25,7 +23,7 @@ from .boolfn import (
     verdict_from_json,
     verdict_to_json,
 )
-from .dist import FiniteDistribution, LabeledSample, labeled_sample
+from .dist import FiniteDistribution
 from .errors import (
     BudgetError,
     ContractError,
@@ -45,7 +43,6 @@ from .harness import (
 from .lbgen import (
     NoInstance,
     YesInstance,
-    eval_no,
     gen_no,
     gen_yes,
     instance_from_json,

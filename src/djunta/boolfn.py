@@ -28,6 +28,19 @@ Block = frozenset
 #: Hard cap for explicit truth tables (2**24 bits = 2 MiB).
 TRUTH_TABLE_MAX_N = 24
 
+#: Widest domain, in coordinates, that an oracle, a distribution or an
+#: instance generator accepts.  Points are n-bit ints and rows of
+#: ceil(n/64) words, and the testers draw n fresh bits per round, so a far
+#: wider domain could only exhaust memory or time.  The widest domain in
+#: the tests and the benchmark has 1200 coordinates.
+MAX_WIDTH = 1 << 16
+
+
+def check_width(n: int) -> None:
+    """Refuse a domain wider than MAX_WIDTH, before anything is sized by it."""
+    if n > MAX_WIDTH:
+        raise SizeError(f"{n} coordinates exceed the cap of {MAX_WIDTH}")
+
 
 # ---------------------------------------------------------------------------
 # mask and coordinate helpers
@@ -261,18 +274,6 @@ class BitString:
         return f"BitString({str(self)!r})"
 
 
-def flip(x: BitString, block: Iterable[int]) -> BitString:
-    """Flip the coordinates in `block`; flipping the empty set is the identity."""
-    return BitString(x.n, x.bits ^ mask_of(block, x.n))
-
-
-def diff(x: BitString, y: BitString) -> Block:
-    """Set of coordinates where x and y disagree."""
-    if x.n != y.n:
-        raise DimensionError(f"length mismatch {x.n} != {y.n}")
-    return block_of(x.bits ^ y.bits)
-
-
 # ---------------------------------------------------------------------------
 # query accounting
 
@@ -447,10 +448,10 @@ class RestrictionBackend:
 def make_restriction_backend(parent, free_coords: Sequence[int], wbits: int):
     """Restriction of `parent` to `free_coords`, with pinned values `wbits`.
 
-    Specializes where the composition collapses: a restricted junta is again a
-    junta (partial evaluation of its table), and nested restrictions flatten
-    to a single one.  Both keep per-evaluation cost independent of how the
-    view was built; behavior is identical to the generic path.
+    A restricted junta collapses to a junta again (partial evaluation of its
+    table), so evaluating it costs no more than evaluating the parent;
+    behavior is identical to the generic path.  Any other parent, a
+    restriction included, is wrapped as is.
     """
     free_coords = tuple(free_coords)
     if isinstance(parent, JuntaBackend):
@@ -474,11 +475,6 @@ def make_restriction_backend(parent, free_coords: Sequence[int], wbits: int):
             if parent.table >> idx & 1:
                 newtab |= 1 << a
         return JuntaBackend(len(free_coords), tuple(p for p, _ in kept), newtab)
-    if isinstance(parent, RestrictionBackend):
-        grand_free = tuple(parent.free_coords[c - 1] for c in free_coords)
-        grand_w = parent.wbits | scatter_bits(wbits, parent.free_coords)
-        grand_w &= ~mask_of(grand_free)
-        return make_restriction_backend(parent.parent, grand_free, grand_w)
     return RestrictionBackend(parent, free_coords, wbits)
 
 
@@ -489,7 +485,7 @@ def make_restriction_backend(parent, free_coords: Sequence[int], wbits: int):
 class FunctionOracle:
     """Black-box access to f: {0,1}^n -> {0,1} with a shared query tally.
 
-    eval/eval_bits tick the counter by exactly one per call, repeated points
+    eval_bits ticks the counter by exactly one per call, repeated points
     included; there is no memoization.  peek/peek_bits never tick it and
     exist for verification and analysis code only.  restrict() returns a view
     that shares this oracle's counter, so all queries against any view of f
@@ -499,6 +495,7 @@ class FunctionOracle:
     __slots__ = ("n", "backend", "counter")
 
     def __init__(self, backend, counter: QueryCounter | None = None):
+        check_width(backend.n)
         self.n = backend.n
         self.backend = backend
         self.counter = counter if counter is not None else QueryCounter()
@@ -514,12 +511,6 @@ class FunctionOracle:
         return cls(JuntaBackend(n, vars, table))
 
     # -- counted access
-
-    def eval(self, x: BitString) -> int:
-        if x.n != self.n:
-            raise DimensionError(f"input has {x.n} coordinates, oracle has {self.n}")
-        self.counter.queries += 1
-        return self.backend.value(x.bits)
 
     def eval_bits(self, xbits: int) -> int:
         """Counted evaluation on a raw int; no dimension check (hot path)."""
@@ -667,6 +658,7 @@ def oracle_to_json(f: FunctionOracle) -> dict:
 
 def oracle_from_json(doc: dict) -> FunctionOracle:
     n = int(doc["n"])
+    check_width(n)
     kind = doc["kind"]
     if kind == "truth_table":
         return FunctionOracle.from_truth_table(n, hex_to_bits(doc["table"], 1 << n))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -65,18 +66,27 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
+@contextmanager
+def _parsing(path: str):
+    """Report a malformed document as one parse error; size refusals pass."""
+    try:
+        yield
+    except SizeError:
+        raise
+    except (KeyError, ValueError, TypeError, OverflowError) as e:
+        raise _CliError("parse", f"{path}: {e}") from e
+
+
 def _load_function(path: str):
     """Returns (oracle, embedded distribution or None, k hint or None)."""
     doc = _load_doc(path)
     kind = doc.get("kind")
-    try:
+    with _parsing(path):
         if kind in ("truth_table", "junta"):
             return oracle_from_json(doc), None, None
         if kind in ("yes_instance", "no_instance"):
             inst = instance_from_json(doc)
             return inst.oracle(), inst.D, inst.k
-    except (KeyError, ValueError, TypeError, OverflowError) as e:
-        raise _CliError("parse", f"{path}: {e}") from e
     raise _CliError("parse", f"{path}: unknown kind {kind!r}")
 
 
@@ -86,10 +96,8 @@ def _pick_dist(arg: str | None, embedded, n: int) -> FiniteDistribution:
     if arg == "uniform":
         return FiniteDistribution.uniform_cube(n)
     doc = _load_doc(arg)
-    try:
+    with _parsing(arg):
         D = FiniteDistribution.from_json(doc)
-    except (KeyError, ValueError, TypeError, OverflowError) as e:
-        raise _CliError("parse", f"{arg}: {e}") from e
     if D.n != n:
         raise _CliError("usage", f"distribution over {D.n} coordinates, function over {n}")
     return D
@@ -145,10 +153,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.tester == "uniform":
-        cfg = UniformTesterConfig(k=args.k, epsilon=args.epsilon)
-    else:
-        cfg = DFTesterConfig(k=args.k, epsilon=args.epsilon)
+    cfg = DFTesterConfig(k=args.k, epsilon=args.epsilon)
     rows = []
     for n in args.n_list:
         pair = parity_far_instance(n, args.k)
@@ -173,10 +178,8 @@ def _cmd_bench(args) -> int:
 def _cmd_verify(args) -> int:
     f, _, _ = _load_function(getattr(args, "in"))
     doc = _load_doc(args.witness)
-    try:
+    with _parsing(args.witness):
         verdict = verdict_from_json(doc, f.n)
-    except (KeyError, ValueError, TypeError, OverflowError) as e:
-        raise _CliError("parse", f"{args.witness}: {e}") from e
     ok = verify_witness(f, verdict.witness)
     _emit(_dump({"kind": "verify_report", "ok": ok, "blocks": len(verdict.witness)}), args.out)
     if not ok:

@@ -1,4 +1,4 @@
-"""Finite input distributions with exact point masses and labeled sampling.
+"""Finite input distributions with exact point masses and seeded sampling.
 
 Distance between functions is always measured against one of these, so they
 stay deliberately small: either the uniform distribution over the whole cube
@@ -8,13 +8,13 @@ on a seeded generator; a run is reproducible from its seed alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BitString, FunctionOracle, bits_to_hex, hex_to_bits, rand_bits
+from .boolfn import BitString, bits_to_hex, check_width, hex_to_bits, rand_bits
 from .errors import ContractError, DimensionError, EmptyDomainError
 
 _WEIGHT_TOL = 1e-9
@@ -64,6 +64,7 @@ class FiniteDistribution:
     def uniform_cube(cls, n: int) -> "FiniteDistribution":
         if n < 1:
             raise EmptyDomainError("need n >= 1")
+        check_width(n)
         return cls(n, cls.KIND_CUBE)
 
     @classmethod
@@ -75,6 +76,7 @@ class FiniteDistribution:
     ) -> "FiniteDistribution":
         if n < 1:
             raise EmptyDomainError("need n >= 1")
+        check_width(n)
         pts = []
         for p in points:
             if isinstance(p, BitString):
@@ -99,8 +101,8 @@ class FiniteDistribution:
             if len(weights) != len(pts):
                 raise ContractError("one weight per support point required")
             ws = tuple(float(w) for w in weights)
-            if any(w < 0 for w in ws):
-                raise ContractError("weights must be nonnegative")
+            if not all(math.isfinite(w) and w >= 0 for w in ws):
+                raise ContractError("weights must be finite and nonnegative")
             total = float(sum(ws))
             if abs(total - 1.0) > _WEIGHT_TOL:
                 raise ContractError(f"weights must sum to 1, got {total!r}")
@@ -166,23 +168,3 @@ class FiniteDistribution:
             pts = [hex_to_bits(s, n) for s in doc["points"]]
             return cls.support(n, pts, doc.get("weights"))
         raise ContractError(f"unknown distribution kind {doc['kind']!r}")
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """One draw from the sampling oracle: a point and its label."""
-
-    x: BitString
-    label: int
-
-
-def labeled_sample(D: FiniteDistribution, f: FunctionOracle, rng) -> LabeledSample:
-    """Draw x from D and return (x, f(x)).
-
-    Costs exactly one unit on f's tally (recorded as a sample); the label
-    lookup is part of that unit, not a separate black-box query.
-    """
-    if D.n != f.n:
-        raise DimensionError(f"distribution over {D.n} coordinates, oracle over {f.n}")
-    xb = D.sample_bits(rng)
-    return LabeledSample(BitString(D.n, xb), f.sample_eval_bits(xb))

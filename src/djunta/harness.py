@@ -78,11 +78,8 @@ class TrialReport:
 
 
 def _uniform(f: FunctionOracle, D, cfg, rng):
-    # The uniform tester ignores D; given the shared DFTesterConfig, it
-    # tests the same k and epsilon under its own default budgets.
-    if isinstance(cfg, DFTesterConfig):
-        cfg = UniformTesterConfig(k=cfg.k, epsilon=cfg.epsilon)
-    return uniform_junta(f, cfg, rng)
+    # The uniform tester ignores D and tests the same k and epsilon.
+    return uniform_junta(f, UniformTesterConfig(k=cfg.k, epsilon=cfg.epsilon), rng)
 
 
 _TESTERS: dict[str, Callable] = {
@@ -108,7 +105,8 @@ def run_trials(instance_source, tester, cfg, trials: int, seed: int) -> TrialRep
     generated instance (anything with .oracle() and .D), or a callable
     taking an rng and returning one of those.  tester: "simple", "main",
     "uniform", or a callable (f, D, cfg, rng) -> Verdict.  cfg is a
-    DFTesterConfig, or for "uniform" either that or a UniformTesterConfig.
+    DFTesterConfig, or for "uniform" either that or a UniformTesterConfig;
+    only its k and epsilon reach the uniform tester.
     """
     if trials < 1:
         raise ContractError(f"need trials >= 1, got {trials}")

@@ -20,6 +20,7 @@ evaluated lazily through a per-section index, so n in the hundreds is fine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, log
 
 import numpy as np
@@ -30,6 +31,7 @@ from .boolfn import (
     FunctionOracle,
     QueryCounter,
     bits_to_hex,
+    check_width,
     gather_bits,
     gather_rows,
     hex_to_bits,
@@ -57,9 +59,14 @@ def neighbor_radius(n: int) -> int:
     return (2 * n) // 5
 
 
-def _draw_j_s(n: int, k: int, rng):
+def _check_shape(n: int, k: int) -> None:
+    check_width(n)
     if not 1 <= k <= n:
         raise DimensionError(f"need 1 <= k <= n, got k={k}, n={n}")
+
+
+def _draw_j_s(n: int, k: int, rng):
+    _check_shape(n, k)
     m = num_support_points(n, k)
     if m > MAX_SUPPORT_POINTS:
         raise SizeError(f"support of {m} points exceeds the cap of {MAX_SUPPORT_POINTS}")
@@ -108,8 +115,18 @@ class NoInstance:
     radius: int
     D: FiniteDistribution
 
+    @cached_property
+    def _backend(self) -> "_HardLabelBackend":
+        return _HardLabelBackend(self)
+
     def oracle(self) -> FunctionOracle:
-        return FunctionOracle(_HardLabelBackend(self), QueryCounter())
+        """The hard function, with a fresh query counter.
+
+        Every oracle of one instance shares a single backend, built on the
+        first call: it regroups the support by section, which at n = 1200
+        costs tens of milliseconds, and keeps the batched section matrices.
+        """
+        return FunctionOracle(self._backend, QueryCounter())
 
 
 def gen_yes(n: int, k: int, rng) -> YesInstance:
@@ -141,7 +158,7 @@ class _HardLabelBackend:
     """Lazy point evaluation of a NoInstance's function."""
 
     kind = "no_construction"
-    __slots__ = ("n", "inst", "jcoords", "radius", "exact", "sections", "_matrices")
+    __slots__ = ("n", "table", "jcoords", "radius", "exact", "sections", "_matrices")
 
     #: Bound on the words one batched distance step holds per section, so
     #: the xor temporaries of `values` stay near 256 KiB whatever the batch.
@@ -149,7 +166,7 @@ class _HardLabelBackend:
 
     def __init__(self, inst: NoInstance):
         self.n = inst.n
-        self.inst = inst
+        self.table = inst.junta_table
         self.jcoords = tuple(sorted(inst.J))
         self.radius = inst.radius
         self.exact = {}
@@ -175,7 +192,7 @@ class _HardLabelBackend:
             if hit:
                 return 0
         # No in-ball neighbor shares the section: background junta decides.
-        return (self.inst.junta_table >> gather_bits(xbits, self.jcoords)) & 1
+        return (self.table >> gather_bits(xbits, self.jcoords)) & 1
 
     def _section_matrices(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Section key -> (its support points as a (ceil(n/64), size) word
@@ -201,7 +218,7 @@ class _HardLabelBackend:
         """
         keys = gather_rows(X, self.jcoords)
         nbytes = ((1 << len(self.jcoords)) + 7) // 8
-        background = np.frombuffer(self.inst.junta_table.to_bytes(nbytes, "little"), np.uint8)
+        background = np.frombuffer(self.table.to_bytes(nbytes, "little"), np.uint8)
         out = table_lookup(background, keys)
         matrices = self._section_matrices()
         for key in set(keys.tolist()):
@@ -218,13 +235,6 @@ class _HardLabelBackend:
                 best = score.max(axis=1)
                 out[r] = np.where(best > 0, best & 1, out[r])
         return out
-
-
-def eval_no(inst: NoInstance, x: BitString) -> int:
-    """The hard function's value at x, outside any query accounting."""
-    if x.n != inst.n:
-        raise DimensionError(f"point has {x.n} coordinates, instance has {inst.n}")
-    return _HardLabelBackend(inst).value(x.bits)
 
 
 def is_scattered(Y, J: Block) -> bool:
@@ -272,6 +282,7 @@ def instance_from_json(doc: dict) -> YesInstance | NoInstance:
     if "S" not in doc:
         rng = np.random.default_rng(int(doc["seed"]))
         return gen_yes(n, k, rng) if kind == "yes_instance" else gen_no(n, k, rng)
+    _check_shape(n, k)
     J = frozenset(int(c) for c in doc["J"])
     table = hex_to_bits(doc["junta_table"], 1 << k)
     pts = tuple(hex_to_bits(s, n) for s in doc["S"])

@@ -9,7 +9,8 @@ query count grows with log n.  `main_djunta` keeps whole blocks and only
 ever verifies that a block's restriction behaves like one variable, which
 makes its query count independent of n: blocks it has vetted live in V,
 blocks still in doubt wait in U, and every round either grows this pool or
-retires a doubt.
+retires a doubt.  Both take k and epsilon through a DFTesterConfig, which
+derives every budget from them, and all their randomness from an `rng`.
 
 The subroutines: `where_is_the_literal` spends at most four queries to tell
 which half of a partitioned block controls a near-literal restriction, and
@@ -20,12 +21,10 @@ variable at all, splitting the block in two when it is not.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import ceil
-
-import numpy as np
 
 from .boolfn import (
     BitFeed,
@@ -49,27 +48,24 @@ from .uniform import UniformTesterConfig, uniform_junta
 
 @dataclass(frozen=True)
 class DFTesterConfig:
-    """Shared knobs of the two distribution-free testers.
+    """Settings of the two distribution-free testers: k, epsilon and debug.
 
-    Every budget left unset is filled in from k and epsilon at
-    construction: simple_rounds = ceil(8(k+1)/eps) for the log-n tester,
+    Every budget is derived from k and epsilon at construction and is
+    read-only: simple_rounds = ceil(8(k+1)/eps) for the log-n tester,
     search_rounds = ceil(64k/eps) and verify_rounds = 3(k+1) for the main
-    tester, gamma = 1/(8k) as the closeness level at which a block counts
-    as settled, and uniform_blocks/uniform_rounds for the arity-1 uniform
-    tester invoked on restrictions.  Budget arithmetic goes through exact
-    rationals so a given (k, epsilon) always yields the same budgets.
+    tester, and gamma = 1/(8k), the closeness level at which a block counts
+    as settled.  Round counts are computed on the exact rational value of
+    epsilon, so a given (k, epsilon) always yields the same budgets.
+    `debug` makes main_djunta assert its pool invariants after every round.
     """
 
     k: int
     epsilon: float
-    seed: int | None = None
-    simple_rounds: int | None = None
-    search_rounds: int | None = None
-    verify_rounds: int | None = None
-    gamma: float | None = None
-    uniform_blocks: int = 10
-    uniform_rounds: int | None = None
     debug: bool = False
+    simple_rounds: int = field(init=False)
+    search_rounds: int = field(init=False)
+    verify_rounds: int = field(init=False)
+    gamma: float = field(init=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -77,37 +73,18 @@ class DFTesterConfig:
         if not 0 < self.epsilon <= 1:
             raise ContractError(f"need 0 < epsilon <= 1, got {self.epsilon}")
         eps = Fraction(self.epsilon)
-        if self.simple_rounds is None:
-            object.__setattr__(self, "simple_rounds", ceil(8 * (self.k + 1) / eps))
-        if self.search_rounds is None:
-            object.__setattr__(self, "search_rounds", ceil(64 * self.k / eps))
-        if self.verify_rounds is None:
-            object.__setattr__(self, "verify_rounds", 3 * (self.k + 1))
-        # Keep the defaulted gamma exact through the rounds computation so
-        # ceil(32/gamma) is 256k and not off by one from float rounding.
-        gamma_frac = Fraction(1, 8 * self.k)
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", 1 / (8 * self.k))
-        else:
-            gamma_frac = Fraction(self.gamma)
-        if not 0 < self.gamma <= 1:
-            raise ContractError(f"need 0 < gamma <= 1, got {self.gamma}")
-        if self.uniform_rounds is None:
-            object.__setattr__(self, "uniform_rounds", ceil(32 / gamma_frac))
-        for name in ("simple_rounds", "search_rounds", "verify_rounds", "uniform_rounds"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"need {name} >= 1")
-        if self.uniform_blocks < 2:
-            raise ContractError("need uniform_blocks >= 2")
+        object.__setattr__(self, "simple_rounds", ceil(8 * (self.k + 1) / eps))
+        object.__setattr__(self, "search_rounds", ceil(64 * self.k / eps))
+        object.__setattr__(self, "verify_rounds", 3 * (self.k + 1))
+        object.__setattr__(self, "gamma", 1 / (8 * self.k))
 
     def inner_uniform_cfg(self) -> UniformTesterConfig:
-        """Config of the arity-1 uniform tester run on block restrictions."""
-        return UniformTesterConfig(
-            k=1,
-            epsilon=self.gamma,
-            num_blocks=self.uniform_blocks,
-            rounds=self.uniform_rounds,
-        )
+        """Config of the arity-1 uniform tester run on block restrictions.
+
+        Its epsilon is gamma as an exact rational, so its rounds come out
+        at exactly 256k (a float gamma would give 769 at k = 3).
+        """
+        return UniformTesterConfig(k=1, epsilon=Fraction(1, 8 * self.k))
 
     def literal_query_ceiling(self) -> int:
         """Worst case of one `literal` call, label re-queries included."""
@@ -126,14 +103,6 @@ class DFTesterConfig:
             self.search_rounds * per_search
             + self.verify_rounds * self.literal_query_ceiling()
         )
-
-
-def _resolve_feed(cfg, rng) -> BitFeed:
-    if rng is not None:
-        return BitFeed.of(rng)
-    if cfg is None:
-        raise ContractError("an rng is required")
-    return BitFeed.of(np.random.default_rng(cfg.seed))
 
 
 def _check_dims(f: FunctionOracle, D: FiniteDistribution) -> None:
@@ -157,24 +126,14 @@ def _where(g: FunctionOracle, lmask: int, rmask: int, feed: BitFeed) -> WhereRes
     # Each side check flips the whole side at a fresh uniform point; an
     # empty side can never pass and is skipped without spending queries.
     n = g.n
-    if lmask:
-        a = feed.take(n)
-        fa = g.eval_bits(a)
-        fb = g.eval_bits(a ^ lmask)
-        if fa != fb:
-            pair = DistinguishingPair(
-                BitString(n, a), BitString(n, a ^ lmask), block_of(lmask)
-            )
-            return WhereResult("left", pair, fa, fb)
-    if rmask:
-        c = feed.take(n)
-        fc = g.eval_bits(c)
-        fd = g.eval_bits(c ^ rmask)
-        if fc != fd:
-            pair = DistinguishingPair(
-                BitString(n, c), BitString(n, c ^ rmask), block_of(rmask)
-            )
-            return WhereResult("right", pair, fc, fd)
+    for side, mask in (("left", lmask), ("right", rmask)):
+        if mask:
+            a = feed.take(n)
+            fa = g.eval_bits(a)
+            fb = g.eval_bits(a ^ mask)
+            if fa != fb:
+                pair = DistinguishingPair(BitString(n, a), BitString(n, a ^ mask), block_of(mask))
+                return WhereResult(side, pair, fa, fb)
     return WhereResult("fail")
 
 
@@ -196,7 +155,7 @@ def where_is_the_literal(
         raise ContractError("sides must be disjoint")
     if lmask | rmask != (1 << g.n) - 1:
         raise ContractError("sides must cover every coordinate of g")
-    return _where(g, lmask, rmask, _resolve_feed(None, rng))
+    return _where(g, lmask, rmask, BitFeed.of(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -252,44 +211,20 @@ def _literal(
         if c1 == 0 or c2 == 0:
             # One side empty: neither condition below can hold.
             continue
-        a1 = g.eval_bits(xb ^ c1)
-        a2 = g.eval_bits(xb ^ c2)
-        b1 = g.eval_bits(yb ^ c1)
-        b2 = g.eval_bits(yb ^ c2)
-        if a1 == a2 != fx:
-            bx = BitString(n, xb)
-            return LiteralResult(
-                False,
-                (
-                    SplitPart(
-                        DistinguishingPair(bx, BitString(n, xb ^ c1), block_of(c1)),
-                        fx,
-                        a1,
+        # All four points are queried before either endpoint is judged.
+        ends = [
+            (b, fb, g.eval_bits(b ^ c1), g.eval_bits(b ^ c2)) for b, fb in ((xb, fx), (yb, fy))
+        ]
+        for b, fb, v1, v2 in ends:
+            if v1 == v2 != fb:
+                bs = BitString(n, b)
+                return LiteralResult(
+                    False,
+                    tuple(
+                        SplitPart(DistinguishingPair(bs, BitString(n, b ^ c), block_of(c)), fb, v)
+                        for c, v in ((c1, v1), (c2, v2))
                     ),
-                    SplitPart(
-                        DistinguishingPair(bx, BitString(n, xb ^ c2), block_of(c2)),
-                        fx,
-                        a2,
-                    ),
-                ),
-            )
-        if b1 == b2 != fy:
-            by = BitString(n, yb)
-            return LiteralResult(
-                False,
-                (
-                    SplitPart(
-                        DistinguishingPair(by, BitString(n, yb ^ c1), block_of(c1)),
-                        fy,
-                        b1,
-                    ),
-                    SplitPart(
-                        DistinguishingPair(by, BitString(n, yb ^ c2), block_of(c2)),
-                        fy,
-                        b2,
-                    ),
-                ),
-            )
+                )
     return LiteralResult(True)
 
 
@@ -311,7 +246,7 @@ def literal(
         raise DimensionError(f"pair must live on {g.n} coordinates")
     if pair.x.bits == pair.y.bits:
         raise ContractError("pair endpoints must differ")
-    return _literal(g, pair.x.bits, pair.y.bits, None, cfg, _resolve_feed(cfg, rng))
+    return _literal(g, pair.x.bits, pair.y.bits, None, cfg, BitFeed.of(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +254,7 @@ def literal(
 
 
 def simple_djunta(
-    f: FunctionOracle, D: FiniteDistribution, cfg: DFTesterConfig, rng=None
+    f: FunctionOracle, D: FiniteDistribution, cfg: DFTesterConfig, rng
 ) -> Verdict:
     """Test f against k-juntas w.r.t. D by collecting single coordinates.
 
@@ -327,10 +262,12 @@ def simple_djunta(
     the coordinates not yet known relevant, and binary-searches any
     disagreement down to one new relevant coordinate.  k+1 distinct
     coordinates force rejection; the witness is their k+1 singleton
-    blocks.  Query count is capped by cfg.simple_query_ceiling(n).
+    blocks.  Query count is capped by cfg.simple_query_ceiling(n).  `rng`,
+    a numpy Generator, is the run's only source of randomness: it draws
+    the samples from D and feeds the flip sets.
     """
     _check_dims(f, D)
-    feed = _resolve_feed(cfg, rng)
+    feed = BitFeed.of(rng)
     raw = feed.rng
     n = f.n
     full = (1 << n) - 1
@@ -429,7 +366,7 @@ def _assert_good(f: FunctionOracle, V, U, full: int) -> None:
 
 
 def main_djunta(
-    f: FunctionOracle, D: FiniteDistribution, cfg: DFTesterConfig, rng=None
+    f: FunctionOracle, D: FiniteDistribution, cfg: DFTesterConfig, rng
 ) -> Verdict:
     """Test f against k-juntas w.r.t. D with n-independent query count.
 
@@ -446,9 +383,10 @@ def main_djunta(
 
     Budgets come from cfg (search_rounds, verify_rounds); the total spend
     is capped by cfg.main_query_ceiling(), which does not involve n.
+    `rng`, a numpy Generator, is the run's only source of randomness.
     """
     _check_dims(f, D)
-    feed = _resolve_feed(cfg, rng)
+    feed = BitFeed.of(rng)
     raw = feed.rng
     n = f.n
     full = (1 << n) - 1

@@ -12,7 +12,7 @@ is accepted on every seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
@@ -37,36 +37,27 @@ from .search import block_binary_search
 
 @dataclass(frozen=True)
 class UniformTesterConfig:
-    """Parameters of the uniform-distribution tester.
+    """Parameters of the uniform-distribution tester: k and epsilon.
 
-    Omitted values are filled in at construction: num_blocks = 10k² and
-    rounds = ceil(16(k+1)/epsilon).  The block count must stay at least 2k²
-    so that a random partition separates the relevant variables of a nearby
-    junta with decent probability.
+    The budgets are derived from them at construction and read-only:
+    num_blocks = 10k², enough for a random partition to separate the
+    relevant variables of a nearby junta with decent probability, and
+    rounds = ceil(16(k+1)/epsilon), computed on the exact rational value
+    of epsilon so a given (k, epsilon) always yields the same count.
     """
 
     k: int
     epsilon: float
-    num_blocks: int | None = None
-    rounds: int | None = None
-    seed: int | None = None
+    num_blocks: int = field(init=False)
+    rounds: int = field(init=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ContractError(f"need k >= 1, got {self.k}")
         if not 0 < self.epsilon <= 1:
             raise ContractError(f"need 0 < epsilon <= 1, got {self.epsilon}")
-        if self.num_blocks is None:
-            object.__setattr__(self, "num_blocks", 10 * self.k * self.k)
-        if self.rounds is None:
-            r = ceil(16 * (self.k + 1) / Fraction(self.epsilon))
-            object.__setattr__(self, "rounds", r)
-        if self.num_blocks < 2 * self.k * self.k:
-            raise ContractError(
-                f"num_blocks must be >= 2k^2 = {2 * self.k * self.k}, got {self.num_blocks}"
-            )
-        if self.rounds < 1:
-            raise ContractError(f"need rounds >= 1, got {self.rounds}")
+        object.__setattr__(self, "num_blocks", 10 * self.k * self.k)
+        object.__setattr__(self, "rounds", ceil(16 * (self.k + 1) / Fraction(self.epsilon)))
 
     def query_ceiling(self) -> int:
         """Hard per-run cap: two queries a round plus k+1 block searches."""
@@ -89,13 +80,15 @@ _FIRST_BATCH = 64
 _MAX_BATCH = 256
 
 
-def uniform_junta(f: FunctionOracle, cfg: UniformTesterConfig, rng=None) -> Verdict:
+def uniform_junta(f: FunctionOracle, cfg: UniformTesterConfig, rng) -> Verdict:
     """Test whether f is a k-junta under the uniform distribution.
 
     Accepts every k-junta outright; rejects an epsilon-far f with
     probability at least 2/3, and any rejection carries k+1 pairwise
     disjoint blocks with a distinguishing pair each.  Query count is
-    capped by cfg.query_ceiling(), independent of n.
+    capped by cfg.query_ceiling(), independent of n.  `rng`, a numpy
+    Generator or a BitFeed over one, is the run's only source of
+    randomness.
 
     A round draws x and a flip set, n bits each, from the feed and costs
     two queries when the flip set is nonempty.  The first rounds go one at
@@ -107,7 +100,7 @@ def uniform_junta(f: FunctionOracle, cfg: UniformTesterConfig, rng=None) -> Verd
     round-by-round run.
     """
     n = f.n
-    feed = BitFeed.of(rng if rng is not None else np.random.default_rng(cfg.seed))
+    feed = BitFeed.of(rng)
     raw = feed.rng
     q0, s0 = f.counter.snapshot()
 

@@ -7,14 +7,13 @@ from djunta import (
     BitFeed,
     BitString,
     DistinguishingPair,
+    FiniteDistribution,
     FunctionOracle,
     Verdict,
     bits_to_hex,
     block_of,
     ceil_log2,
     coords_of,
-    diff,
-    flip,
     full_truth_table,
     gather_bits,
     hex_to_bits,
@@ -26,6 +25,7 @@ from djunta import (
     verdict_from_json,
     verdict_to_json,
 )
+from djunta.boolfn import MAX_WIDTH
 from djunta.errors import (
     ContractError,
     DimensionError,
@@ -101,20 +101,6 @@ def test_bitstring_validation():
         BitString(-1, 0)
 
 
-@given(st.integers(1, 60), st.data())
-def test_flip_involution(n, data):
-    x = BitString(n, data.draw(st.integers(0, (1 << n) - 1)))
-    block = data.draw(st.sets(st.integers(1, n)))
-    assert flip(flip(x, block), block) == x
-
-
-def test_diff():
-    x = BitString.from_str("1100")
-    y = BitString.from_str("1010")
-    assert diff(x, y) == frozenset({2, 3})
-    assert diff(x, x) == frozenset()
-
-
 # ---------------------------------------------------------------------------
 # oracles and counting
 
@@ -127,7 +113,7 @@ def test_counter_semantics():
     f = FunctionOracle.from_truth_table(2, _parity2_table())
     assert f.counter.snapshot() == (0, 0)
     f.eval_bits(0b01)
-    f.eval(BitString(2, 0b10))
+    f.eval_bits(0b01)
     assert f.counter.snapshot() == (2, 0)
     f.sample_eval_bits(0b11)
     assert f.counter.snapshot() == (2, 1)
@@ -166,6 +152,19 @@ def test_full_truth_table_guard():
         full_truth_table(f)
 
 
+def test_width_cap():
+    # Oracles and distributions refuse a wider domain when they are built.
+    assert FunctionOracle.from_junta(MAX_WIDTH, (1,), 0b10).n == MAX_WIDTH
+    assert FiniteDistribution.uniform_cube(MAX_WIDTH).n == MAX_WIDTH
+    for make in (
+        lambda n: FunctionOracle.from_junta(n, (1,), 0b10),
+        FiniteDistribution.uniform_cube,
+        lambda n: FiniteDistribution.support(n, (0,)),
+    ):
+        with pytest.raises(SizeError, match="cap"):
+            make(MAX_WIDTH + 1)
+
+
 class TestRestriction:
     def test_matches_manual_substitution(self):
         # f = x1 AND x3 on n=3; fix x1=1 -> restriction is x2 of the 2-var view? no:
@@ -177,6 +176,17 @@ class TestRestriction:
         for v in range(4):
             orig = 1 | ((v & 1) << 1) | ((v >> 1) << 2)
             assert g.peek_bits(v) == f.peek_bits(orig)
+
+    def test_view_of_a_view(self):
+        # a restriction of a restriction pins both sets of coordinates
+        table = rand_bits(np.random.default_rng(4), 1 << 5)
+        f = FunctionOracle.from_truth_table(5, table)
+        g = f.restrict([2, 4], BitString(2, 0b01))  # x2 = 1, x4 = 0; view = (x1, x3, x5)
+        h = g.restrict([2], BitString(1, 1))  # x3 = 1; view = (x1, x5)
+        assert h.counter is f.counter
+        for v in range(4):
+            orig = (v & 1) | 0b00110 | ((v >> 1) << 4)
+            assert h.peek_bits(v) == f.peek_bits(orig)
 
     def test_counter_shared(self):
         f = FunctionOracle.from_junta(4, (1, 2), 0b1000)

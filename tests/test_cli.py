@@ -1,7 +1,15 @@
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from djunta import gen_no, instance_to_json
+from djunta.boolfn import MAX_WIDTH
 from djunta.cli import main
 
 
@@ -191,3 +199,108 @@ class TestErrors:
         code = run("test", "--tester", "simple", "--epsilon", 7, "--k", 2, "--in", f)
         assert code == 2
         assert "error: usage:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# loader fuzzing: arbitrary JSON as the function, distribution and witness
+
+# What a loader may find where a field belongs: small and huge ints,
+# non-finite floats, hex-like strings, and nestings of those.
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 12),
+    st.sampled_from([2**40, 10**30]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text("0123456789abcdef-x", max_size=5),
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+_JUNTA8 = {"kind": "junta", "n": 8, "junta_vars": [2, 5], "table": "6"}  # x2 xor x5
+_FUNCTIONS = (
+    _JUNTA8,
+    {"kind": "truth_table", "n": 3, "table": "96"},
+    {"kind": "no_instance", "n": 10, "k": 1, "seed": 1},
+    instance_to_json(gen_no(10, 1, np.random.default_rng(1))),
+)
+_DISTS = (
+    {"kind": "uniform_cube", "n": 8},
+    {"kind": "support", "n": 8, "points": ["00", "01"], "weights": [0.5, 0.5]},
+)
+_WITNESSES = (
+    {
+        "outcome": "reject", "queries": 0, "samples": 0,
+        "witness": [{"block": [2], "x": "00", "y": "02"}, {"block": [5], "x": "00", "y": "10"}],
+    },
+)
+
+
+def _near(valid):
+    """A valid document, one with a field dropped or replaced by arbitrary
+    JSON, or arbitrary JSON outright."""
+
+    def edit(doc, i, drop, value):
+        out = dict(doc)
+        field = sorted(out)[i % len(out)]
+        if drop:
+            del out[field]
+        else:
+            out[field] = value
+        return out
+
+    edits = st.builds(edit, st.sampled_from(valid), st.integers(0, 9), st.booleans(), _JSON)
+    return st.sampled_from(valid) | edits | _JSON
+
+
+@given(fn=_near(_FUNCTIONS), dist=_near(_DISTS), wit=_near(_WITNESSES))
+@settings(max_examples=150, deadline=None)
+@example(fn=_JUNTA8, dist=dict(_DISTS[1], weights=[math.nan, 1]), wit={})
+@example(fn={"kind": "junta", "n": 10**30, "junta_vars": [1], "table": "2"}, dist={}, wit={})
+@example(fn={"kind": "no_instance", "n": 2**40, "k": 1, "seed": 0}, dist={}, wit={})
+@example(fn={"kind": "truth_table", "n": 2**40, "table": "0"}, dist={}, wit={})
+def test_loaders_fuzz(tmp_path_factory, fn, dist, wit):
+    """Every command ends in a documented exit code with at most one error
+    line, and a distance it reports is a number in [0, 1]."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, doc in (("f", fn), ("d", dist), ("w", wit)):
+        paths[name] = tmp / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    out = tmp / "out.json"
+    commands = {
+        "test": ["--tester", "simple", "--epsilon", 0.5, "--k", 1, "--in", paths["f"], "--dist", paths["d"]],
+        "dist": ["--k", 1, "--in", paths["f"], "--dist", paths["d"]],
+        "verify": ["--in", paths["f"], "--witness", paths["w"]],
+    }
+    for cmd, argv in commands.items():
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = run(cmd, *argv, "--out", out)
+        allowed = {0, 2, 3, 4} | ({1} if cmd == "verify" else set())
+        assert code in allowed, (cmd, code, err.getvalue())
+        if code in (0, 3):
+            assert err.getvalue() == ""
+        else:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        if cmd == "dist" and code == 0:
+            assert 0 <= json.loads(out.read_text())["distance_float"] <= 1
+
+
+def test_width_cap_exits_4(tmp_path, capsys):
+    # Nothing is built past the cap: the width is refused first.
+    assert MAX_WIDTH >= 1200
+    huge = str(10**30)
+    for doc in (
+        {"kind": "junta", "n": MAX_WIDTH + 1, "junta_vars": [1], "table": "2"},
+        {"kind": "no_instance", "n": 10**30, "k": 1, "seed": 0},
+    ):
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(doc))
+        assert run("test", "--tester", "simple", "--epsilon", 0.5, "--k", 1, "--in", p) == 4
+    assert run("bench", "--k", 1, "--epsilon", 0.5, "--n", huge, "--trials", 1) == 4
+    assert run("gen-no", "--n", huge, "--k", 1) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all(e.startswith("error: size:") for e in err)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from djunta import BitString, FiniteDistribution, FunctionOracle, labeled_sample
+from djunta import BitString, FiniteDistribution
 from djunta.errors import ContractError, DimensionError, EmptyDomainError
 
 
@@ -44,6 +44,9 @@ def test_support_validation():
         FiniteDistribution.support(2, (0, 1), weights=(0.7, 0.7))
     with pytest.raises(ContractError):
         FiniteDistribution.support(2, (0, 1), weights=(-0.1, 1.1))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ContractError, match="finite"):
+            FiniteDistribution.support(2, (0, 1), weights=(bad, 1.0))
 
 
 def test_sampling_stays_on_support():
@@ -68,21 +71,6 @@ def test_weighted_sampling_frequencies():
     rng = np.random.default_rng(0)
     ones = sum(D.sample_bits(rng) for _ in range(2000))
     assert 100 <= ones <= 320
-
-
-def test_labeled_sample_counts_one_unit():
-    f = FunctionOracle.from_junta(3, (1,), 0b10)
-    D = FiniteDistribution.uniform_cube(3)
-    s = labeled_sample(D, f, np.random.default_rng(2))
-    assert s.label == f.peek(s.x)
-    assert f.counter.snapshot() == (0, 1)
-
-
-def test_labeled_sample_dim_check():
-    f = FunctionOracle.from_junta(3, (1,), 0b10)
-    D = FiniteDistribution.uniform_cube(4)
-    with pytest.raises(DimensionError):
-        labeled_sample(D, f, np.random.default_rng(0))
 
 
 def test_json_round_trip():

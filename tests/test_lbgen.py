@@ -8,7 +8,6 @@ from djunta import (
     FiniteDistribution,
     NoInstance,
     YesInstance,
-    eval_no,
     gather_bits,
     gen_no,
     gen_yes,
@@ -84,7 +83,6 @@ def test_no_oracle_matches_reference_rule():
             else:
                 want = (inst.junta_table >> gather_bits(x, jc)) & 1
         assert f.peek_bits(x) == want
-        assert eval_no(inst, BitString(10, x)) == want
 
 
 def test_no_oracle_counts_queries():
@@ -94,12 +92,10 @@ def test_no_oracle_counts_queries():
     f.sample_eval_bits(1)
     f.peek_bits(2)
     assert f.counter.snapshot() == (1, 1)
-
-
-def test_eval_no_dim_check():
-    inst = gen_no(14, 2, np.random.default_rng(2))
-    with pytest.raises(DimensionError):
-        eval_no(inst, BitString(13, 0))
+    # every oracle of an instance shares one backend, each with its own counter
+    g = inst.oracle()
+    assert g.backend is f.backend
+    assert g.counter.snapshot() == (0, 0)
 
 
 def test_generation_validation():

@@ -34,7 +34,10 @@ class TestConfig:
         assert cfg.search_rounds == 768  # 64 * 3 / (1/4)
         assert cfg.verify_rounds == 12
         assert cfg.gamma == pytest.approx(1 / 24)
-        assert cfg.uniform_rounds == 768  # 32 / gamma
+        for k in range(1, 9):
+            # 32 / gamma exactly; a float gamma would give 769 at k = 3
+            inner = DFTesterConfig(k=k, epsilon=0.25).inner_uniform_cfg()
+            assert (inner.k, inner.num_blocks, inner.rounds) == (1, 10, 256 * k)
 
     def test_ceilings(self):
         cfg = DFTesterConfig(k=2, epsilon=0.5)
@@ -54,8 +57,8 @@ class TestConfig:
             DFTesterConfig(k=2, epsilon=0.0)
         with pytest.raises(ContractError):
             DFTesterConfig(k=2, epsilon=2.0)
-        with pytest.raises(ContractError):
-            DFTesterConfig(k=2, epsilon=0.5, gamma=0.0)
+        with pytest.raises(TypeError):
+            DFTesterConfig(k=2, epsilon=0.5, simple_rounds=5)  # budgets are derived
 
 
 class TestWhere:
@@ -135,6 +138,24 @@ class TestLiteral:
                     assert c in part.block
             assert g.peek(part.pair.x) != g.peek(part.pair.y)
 
+    def test_halving_splits_at_a_rare_point(self):
+        # One 1 among 2**14 points: the uniform passes find nothing, and then
+        # both halves of a random split flip the rare endpoint's label away.
+        n = 14
+        rare, other = 0b10110011100101, 0b00110011100100
+        g = FunctionOracle.from_truth_table(n, 1 << rare)
+        cfg = DFTesterConfig(k=2, epsilon=0.5)
+        for x, y in ((rare, other), (other, rare)):
+            h = g.fork()
+            pair = DistinguishingPair(BitString(n, x), BitString(n, y), frozenset(range(1, n + 1)))
+            res = literal(h, pair, cfg, np.random.default_rng(0))
+            assert not res.is_literal
+            # a halving round queries both endpoints' four points before judging
+            assert h.counter.snapshot() == (7179, 0)
+            for part in res.parts:
+                assert part.pair.x.bits == rare and (part.fx, part.fy) == (1, 0)
+                assert h.peek(part.pair.x) != h.peek(part.pair.y)
+
     def test_singleton_domain_trivially_true(self):
         cfg = DFTesterConfig(k=2, epsilon=0.5)
         g = FunctionOracle.from_junta(1, (1,), 0b10)
@@ -193,10 +214,11 @@ class TestSimple:
         assert f.counter.snapshot() == (v.queries, v.samples)
 
     def test_seeded_determinism(self):
-        cfg = DFTesterConfig(k=2, epsilon=0.5, seed=42)
+        cfg = DFTesterConfig(k=2, epsilon=0.5)
         f = FunctionOracle.from_junta(10, (2, 8), 0b0110)
         D = FiniteDistribution.uniform_cube(10)
-        assert simple_djunta(f.fork(), D, cfg) == simple_djunta(f.fork(), D, cfg)
+        a = simple_djunta(f.fork(), D, cfg, np.random.default_rng(42))
+        assert a == simple_djunta(f.fork(), D, cfg, np.random.default_rng(42))
 
     def test_dim_mismatch(self):
         cfg = DFTesterConfig(k=1, epsilon=0.5)
@@ -258,10 +280,11 @@ class TestMain:
         assert f.counter.snapshot() == (v.queries, v.samples)
 
     def test_seeded_determinism(self):
-        cfg = DFTesterConfig(k=2, epsilon=0.5, seed=7)
+        cfg = DFTesterConfig(k=2, epsilon=0.5)
         f = FunctionOracle.from_junta(9, (4, 9), 0b0110)
         D = FiniteDistribution.uniform_cube(9)
-        assert main_djunta(f.fork(), D, cfg) == main_djunta(f.fork(), D, cfg)
+        a = main_djunta(f.fork(), D, cfg, np.random.default_rng(7))
+        assert a == main_djunta(f.fork(), D, cfg, np.random.default_rng(7))
 
     def test_support_distribution_far_function(self):
         # far under a 60-point support; main must still reject often

@@ -45,14 +45,12 @@ def test_config_validation():
         UniformTesterConfig(k=2, epsilon=0.0)
     with pytest.raises(ContractError):
         UniformTesterConfig(k=2, epsilon=1.5)
-    with pytest.raises(ContractError):
-        UniformTesterConfig(k=3, epsilon=0.5, num_blocks=17)  # below 2k^2
-    with pytest.raises(ContractError):
-        UniformTesterConfig(k=2, epsilon=0.5, rounds=0)
+    with pytest.raises(TypeError):
+        UniformTesterConfig(k=3, epsilon=0.5, num_blocks=90)  # budgets are derived
 
 
 def test_accepts_juntas():
-    cfg = UniformTesterConfig(k=2, epsilon=0.5, seed=11)
+    cfg = UniformTesterConfig(k=2, epsilon=0.5)
     rng = np.random.default_rng(3)
     for _ in range(40):
         n = int(rng.integers(4, 20))
@@ -99,9 +97,9 @@ def test_query_budget_respected():
 
 def test_seeded_run_deterministic():
     f = FunctionOracle.from_junta(10, (1, 4, 9), _parity(3))
-    cfg = UniformTesterConfig(k=2, epsilon=0.5, seed=21)
-    a = uniform_junta(f.fork(), cfg)
-    b = uniform_junta(f.fork(), cfg)
+    cfg = UniformTesterConfig(k=2, epsilon=0.5)
+    a = uniform_junta(f.fork(), cfg, np.random.default_rng(21))
+    b = uniform_junta(f.fork(), cfg, np.random.default_rng(21))
     assert a == b
 
 
@@ -184,7 +182,7 @@ def _batch_cases():
         pinned = [c for c in range(1, 301) if c not in free]
         w = BitString(len(pinned), rand_bits(rng, len(pinned)))
         yield lambda w=w, pinned=pinned: hard.oracle().restrict(pinned, w), UniformTesterConfig(
-            k=1, epsilon=1 / 24, num_blocks=10
+            k=1, epsilon=1 / 24
         )
 
 
