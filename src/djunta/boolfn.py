@@ -42,6 +42,13 @@ def check_width(n: int) -> None:
         raise SizeError(f"{n} coordinates exceed the cap of {MAX_WIDTH}")
 
 
+def check_junta_arity(k: int) -> None:
+    """Refuse a junta over more than TRUTH_TABLE_MAX_N variables, whose
+    table is a truth table over them, before anything is sized by it."""
+    if k > TRUTH_TABLE_MAX_N:
+        raise SizeError(f"junta over {k} variables exceeds the cap of {TRUTH_TABLE_MAX_N}")
+
+
 # ---------------------------------------------------------------------------
 # mask and coordinate helpers
 
@@ -384,6 +391,7 @@ class JuntaBackend:
             raise ContractError("junta variables must be strictly ascending")
         if vs and (vs[0] < 1 or vs[-1] > n):
             raise DimensionError(f"junta variables out of range 1..{n}")
+        check_junta_arity(len(vs))
         if not 0 <= table < (1 << (1 << len(vs))):
             raise ContractError(f"table does not fit in {1 << len(vs)} bits")
         self.n = n

@@ -19,6 +19,7 @@ import numpy as np
 from .boolfn import (
     FunctionOracle,
     bits_to_hex,
+    check_junta_arity,
     oracle_from_json,
     oracle_to_json,
     rand_bits,
@@ -110,6 +111,7 @@ def _cmd_gen(args) -> int:
     elif args.command == "gen-no":
         doc = instance_to_json(gen_no(args.n, args.k, rng))
     else:
+        check_junta_arity(args.k)
         vars = sorted(int(c) + 1 for c in rng.choice(args.n, size=args.k, replace=False))
         table = rand_bits(rng, 1 << args.k)
         doc = oracle_to_json(FunctionOracle.from_junta(args.n, vars, table))

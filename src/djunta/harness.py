@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .boolfn import FunctionOracle
+from .boolfn import FunctionOracle, check_junta_arity
 from .dist import FiniteDistribution
 from .errors import ContractError, WitnessError
 from .oracle_bf import verify_witness
@@ -150,6 +150,7 @@ def parity_far_instance(n: int, k: int) -> tuple[FunctionOracle, FiniteDistribut
     Every k-junta must ignore one of those coordinates, so the distance is
     exactly 1/2 regardless of n.
     """
+    check_junta_arity(k + 1)
     table = 0
     for z in range(1 << (k + 1)):
         table |= (z.bit_count() & 1) << z

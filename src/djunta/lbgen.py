@@ -31,6 +31,7 @@ from .boolfn import (
     FunctionOracle,
     QueryCounter,
     bits_to_hex,
+    check_junta_arity,
     check_width,
     gather_bits,
     gather_rows,
@@ -63,6 +64,7 @@ def _check_shape(n: int, k: int) -> None:
     check_width(n)
     if not 1 <= k <= n:
         raise DimensionError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_junta_arity(k)  # the background junta's table has 2**k bits
 
 
 def _draw_j_s(n: int, k: int, rng):
@@ -283,7 +285,10 @@ def instance_from_json(doc: dict) -> YesInstance | NoInstance:
         rng = np.random.default_rng(int(doc["seed"]))
         return gen_yes(n, k, rng) if kind == "yes_instance" else gen_no(n, k, rng)
     _check_shape(n, k)
-    J = frozenset(int(c) for c in doc["J"])
+    coords = [int(c) for c in doc["J"]]
+    J = frozenset(coords)
+    if len(coords) != k or len(J) != k or not all(1 <= c <= n for c in J):
+        raise ContractError(f"J must list {k} distinct coordinates in 1..{n}")
     table = hex_to_bits(doc["junta_table"], 1 << k)
     pts = tuple(hex_to_bits(s, n) for s in doc["S"])
     S = tuple(BitString(n, b) for b in pts)

@@ -13,12 +13,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .boolfn import (
     Block,
     DistinguishingPair,
     FunctionOracle,
+    check_junta_arity,
     full_truth_table,
-    gather_bits,
+    gather_bits,  # unused here; bench/tracing.py wraps djunta.oracle_bf:gather_bits
     mask_of,
     rand_bits,
 )
@@ -55,9 +58,16 @@ def exact_distance_to_kjuntas(
     keeps the first minimizer, and stops early on a perfect fit.  Ties
     inside a section break toward label 0 (the value is unaffected).
 
-    Uniform-support distributions (the whole cube included) are scored in
-    exact rationals; explicitly weighted supports in floats.  Raises
-    BudgetError when candidate-sets times support size exceeds STEP_GUARD.
+    The labels are read once, through uncounted scalar evaluations, and
+    the points once into a word array.  Each candidate J then costs one
+    `np.bincount` over 2 * section + label, which gives every section's
+    label-0 and label-1 tallies at once.  Uniform-support distributions
+    (the whole cube included) are scored in exact rationals; explicitly
+    weighted supports in floats, with the masses accumulated in point
+    order and the section minima summed in order of each section's first
+    point, which is the order of a per-point loop, so the float is the
+    same to the last bit.  Raises BudgetError when candidate-sets times
+    support size exceeds STEP_GUARD.
     """
     if k < 0:
         raise ContractError(f"need k >= 0, got {k}")
@@ -65,11 +75,10 @@ def exact_distance_to_kjuntas(
     if D.n != n:
         raise DimensionError(f"distribution over {D.n} coordinates, oracle over {n}")
     kk = min(k, n)
+    check_junta_arity(kk)
 
-    if D.kind == D.KIND_CUBE:
-        pts = range(1 << n)
-    else:
-        pts = D.points
+    cube = D.kind == D.KIND_CUBE
+    pts = range(1 << n) if cube else D.points
     npts = len(pts)
     if comb(n, kk) * npts > STEP_GUARD:
         raise BudgetError(
@@ -77,42 +86,49 @@ def exact_distance_to_kjuntas(
         )
 
     value = f.backend.value
-    vals = [value(p) for p in pts]
-    exact = D.is_uniform_support
-    if not exact:
-        masses = D.weights
+    labels = np.fromiter((value(p) for p in pts), dtype=np.uint8, count=npts)
+    if cube:
+        words = np.arange(npts, dtype=np.uint64)[None, :]
+    else:
+        nbytes = 8 * ((n + 63) >> 6)
+        raw = b"".join(p.to_bytes(nbytes, "little") for p in pts)
+        words = np.frombuffer(raw, dtype="<u8").reshape(npts, -1).T.copy()
+    masses = None if D.is_uniform_support else np.asarray(D.weights, dtype=np.float64)
 
-    best = None  # (distance, J, sections)
+    tagged = np.empty(npts, dtype=np.int64)  # 2 * (bits on J) + label
+    bit = np.empty(npts, dtype=np.uint64)
+    best = None  # (distance, J, tallies, J-bits of each tally row or None)
     for J in combinations(range(1, n + 1), kk):
-        sections: dict[int, list] = {}
-        if exact:
-            for p, v in zip(pts, vals):
-                key = gather_bits(p, J)
-                c = sections.get(key)
-                if c is None:
-                    c = sections[key] = [0, 0]
-                c[v] += 1
-            miss = sum(min(c0, c1) for c0, c1 in sections.values())
-            d = Fraction(miss, npts)
+        np.copyto(tagged, labels)
+        for t, c in enumerate(J):
+            np.right_shift(words[(c - 1) >> 6], np.uint64((c - 1) & 63), out=bit)
+            bit &= np.uint64(1)
+            bit <<= np.uint64(t + 1)
+            tagged |= bit.view(np.int64)
+        bins, keys = tagged, None
+        if 1 << kk > 2 * npts:  # most sections are empty: number the rest densely
+            keys, ids = np.unique(tagged >> 1, return_inverse=True)
+            bins = 2 * ids + labels
+        nsec = 1 << kk if keys is None else len(keys)
+        tally = np.bincount(bins, masses, minlength=2 * nsec).reshape(nsec, 2)
+        low = tally.min(axis=1)
+        if masses is None:
+            d = Fraction(int(low.sum()), npts)
         else:
-            for p, v, w in zip(pts, vals, masses):
-                key = gather_bits(p, J)
-                c = sections.get(key)
-                if c is None:
-                    c = sections[key] = [0.0, 0.0]
-                c[v] += w
-            d = sum(min(c0, c1) for c0, c1 in sections.values())
+            present, first = np.unique(bins >> 1, return_index=True)
+            d = sum(low[present[np.argsort(first)]].tolist())
         if best is None or d < best[0]:
-            best = (d, J, sections)
+            best = (d, J, tally, keys)
             if d == 0:
                 break
 
-    d, J, sections = best
-    table = 0
-    for key, (c0, c1) in sections.items():
-        if c1 > c0:
-            table |= 1 << key
-    return DistanceReport(d, frozenset(J), table)
+    d, J, tally, keys = best
+    win = np.flatnonzero(tally[:, 1] > tally[:, 0])
+    if keys is not None:
+        win = keys[win]
+    packed = np.zeros(((1 << kk) + 7) >> 3, dtype=np.uint8)
+    np.bitwise_or.at(packed, win >> 3, np.left_shift(1, win & 7).astype(np.uint8))
+    return DistanceReport(d, frozenset(J), int.from_bytes(packed.tobytes(), "little"))
 
 
 def _replicated_low_mask(n: int, i: int) -> int:

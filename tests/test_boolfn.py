@@ -165,6 +165,13 @@ def test_width_cap():
             make(MAX_WIDTH + 1)
 
 
+def test_junta_arity_cap():
+    # The table of a 25-variable junta would be a truth table over 25 inputs.
+    assert len(FunctionOracle.from_junta(30, range(1, 25), 0).backend.vars) == 24
+    with pytest.raises(SizeError, match="cap"):
+        FunctionOracle.from_junta(30, range(1, 26), 0)
+
+
 class TestRestriction:
     def test_matches_manual_substitution(self):
         # f = x1 AND x3 on n=3; fix x1=1 -> restriction is x2 of the 2-var view? no:

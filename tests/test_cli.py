@@ -73,6 +73,12 @@ def test_dist_on_instance(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["distance"] == "157/381"
     assert doc["distance_float"] == pytest.approx(157 / 381)
+    # the whole file, as the per-point loop wrote it
+    assert out.read_text() == (
+        '{\n  "best_table": "6",\n  "best_vars": [\n    3,\n    12\n  ],\n'
+        '  "distance": "157/381",\n  "distance_float": 0.4120734908136483,\n'
+        '  "k": 2,\n  "kind": "distance_report"\n}\n'
+    )
 
 
 def test_dist_on_truth_table(tmp_path):
@@ -150,6 +156,22 @@ class TestErrors:
         # 200 support strings cannot be distinct inside a 16-point cube
         assert run("gen-no", "--n", 4, "--k", 2, "--seed", 0) == 4
         assert "error: size:" in capsys.readouterr().err
+
+    def test_junta_arity_cap(self, capsys):
+        # A 25-variable table is 4 MiB: refused before it is drawn or built.
+        assert run("gen-junta", "--n", 30, "--k", 25, "--seed", 0) == 4
+        assert run("bench", "--k", 24, "--epsilon", 0.5, "--n", 30, "--trials", 1) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("error: size:") for e in err)
+
+    def test_bad_hidden_set(self, tmp_path, capsys):
+        doc = instance_to_json(gen_no(14, 2, np.random.default_rng(1)))
+        for J in ([1, 2, 3], [3, 3], [0, 5], [5, 15]):
+            p = tmp_path / "f.json"
+            p.write_text(json.dumps(dict(doc, J=J)))
+            assert run("dist", "--k", 2, "--in", p) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: parse:") and err.count("\n") == 1
 
     def test_support_size_cap(self, capsys):
         assert run("gen-no", "--n", 64, "--k", 20, "--seed", 0) == 4

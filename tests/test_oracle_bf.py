@@ -1,10 +1,15 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from djunta import (
     BitString,
+    DistanceReport,
     DistinguishingPair,
     FiniteDistribution,
     FunctionOracle,
@@ -13,7 +18,8 @@ from djunta import (
     is_kjunta,
     verify_witness,
 )
-from djunta.errors import BudgetError, ContractError, DimensionError
+from djunta.boolfn import gather_bits
+from djunta.errors import BudgetError, ContractError, DimensionError, SizeError
 
 
 def _parity(k):
@@ -92,6 +98,109 @@ class TestExactDistance:
         D = FiniteDistribution.support(40, tuple(range(1000)))
         with pytest.raises(BudgetError):
             exact_distance_to_kjuntas(f, D, 20)
+
+    def test_arity_cap(self):
+        # The best junta's table would have 2**25 bits.
+        f = FunctionOracle.from_junta(30, (1,), 0b10)
+        D = FiniteDistribution.support(30, (0, 1))
+        with pytest.raises(SizeError, match="cap"):
+            exact_distance_to_kjuntas(f, D, 25)
+
+    def test_memory_stays_linear_in_points(self):
+        # Peak stays near the word array, the tag array and one temporary;
+        # an n x points int64 matrix alone would be 16 of these arrays.
+        n = 16
+        f = FunctionOracle.from_junta(n, (3, 11), 0b0110)
+        tracemalloc.start()
+        try:
+            rep = exact_distance_to_kjuntas(f, FiniteDistribution.uniform_cube(n), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.distance == Fraction(1, 2)
+        assert peak < 4 * (1 << n) * 8
+
+
+def _reference_distance(f, D, k):
+    """The per-point dict loop the vectorized search replaced, verbatim."""
+    n = f.n
+    kk = min(k, n)
+    if D.kind == D.KIND_CUBE:
+        pts = range(1 << n)
+    else:
+        pts = D.points
+    npts = len(pts)
+    value = f.backend.value
+    vals = [value(p) for p in pts]
+    exact = D.is_uniform_support
+    if not exact:
+        masses = D.weights
+
+    best = None  # (distance, J, sections)
+    for J in combinations(range(1, n + 1), kk):
+        sections: dict[int, list] = {}
+        if exact:
+            for p, v in zip(pts, vals):
+                key = gather_bits(p, J)
+                c = sections.get(key)
+                if c is None:
+                    c = sections[key] = [0, 0]
+                c[v] += 1
+            miss = sum(min(c0, c1) for c0, c1 in sections.values())
+            d = Fraction(miss, npts)
+        else:
+            for p, v, w in zip(pts, vals, masses):
+                key = gather_bits(p, J)
+                c = sections.get(key)
+                if c is None:
+                    c = sections[key] = [0.0, 0.0]
+                c[v] += w
+            d = sum(min(c0, c1) for c0, c1 in sections.values())
+        if best is None or d < best[0]:
+            best = (d, J, sections)
+            if d == 0:
+                break
+
+    d, J, sections = best
+    table = 0
+    for key, (c0, c1) in sections.items():
+        if c1 > c0:
+            table |= 1 << key
+    return DistanceReport(d, frozenset(J), table)
+
+
+@st.composite
+def _distance_cases(draw):
+    # Shapes come from hypothesis, contents from a seeded generator: typical
+    # random masses make float sums depend on the order of addition, which
+    # the comparison must then match bit for bit.
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(0, n + 1))
+    kind = draw(st.sampled_from(("cube", "uniform", "weighted")))
+    m = draw(st.integers(1, 1 << n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = int.from_bytes(rng.bytes(64), "little") & ((1 << (1 << n)) - 1)
+    if rng.random() < 0.5:  # a biased function, so majorities are lopsided
+        table &= int.from_bytes(rng.bytes(64), "little")
+    f = FunctionOracle.from_truth_table(n, table)
+    if kind == "cube":
+        return f, FiniteDistribution.uniform_cube(n), k
+    pts = rng.permutation(1 << n)[:m].tolist()
+    if kind == "uniform":
+        return f, FiniteDistribution.support(n, pts), k
+    raw = rng.random(m) * (rng.random(m) < 0.8)  # some points carry no mass
+    raw[0] += 0.5
+    return f, FiniteDistribution.support(n, pts, (raw / raw.sum()).tolist()), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_distance_cases())
+def test_distance_matches_reference_loop(case):
+    f, D, k = case
+    got = exact_distance_to_kjuntas(f, D, k)
+    want = _reference_distance(f, D, k)
+    assert got == want
+    assert type(got.distance) is type(want.distance)
 
 
 class TestIsKJunta:
