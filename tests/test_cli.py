@@ -73,7 +73,7 @@ def test_dist_on_instance(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["distance"] == "157/381"
     assert doc["distance_float"] == pytest.approx(157 / 381)
-    # the whole file, as the per-point loop wrote it
+    # the whole file, byte for byte
     assert out.read_text() == (
         '{\n  "best_table": "6",\n  "best_vars": [\n    3,\n    12\n  ],\n'
         '  "distance": "157/381",\n  "distance_float": 0.4120734908136483,\n'
@@ -158,7 +158,7 @@ class TestErrors:
         assert "error: size:" in capsys.readouterr().err
 
     def test_junta_arity_cap(self, capsys):
-        # A 25-variable table is 4 MiB: refused before it is drawn or built.
+        # Arity 25 only: its table is 4 MiB, cheap even if a guard were missing.
         assert run("gen-junta", "--n", 30, "--k", 25, "--seed", 0) == 4
         assert run("bench", "--k", 24, "--epsilon", 0.5, "--n", 30, "--trials", 1) == 4
         err = capsys.readouterr().err.splitlines()
