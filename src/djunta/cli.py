@@ -20,6 +20,7 @@ from .boolfn import (
     FunctionOracle,
     bits_to_hex,
     check_junta_arity,
+    check_width,
     oracle_from_json,
     oracle_to_json,
     rand_bits,
@@ -32,7 +33,7 @@ from .harness import csv_header, parity_far_instance, report_csv_row, run_trials
 from .lbgen import gen_no, gen_yes, instance_from_json, instance_to_json
 from .oracle_bf import exact_distance_to_kjuntas, verify_witness
 from .tester import DFTesterConfig, main_djunta, simple_djunta
-from .uniform import UniformTesterConfig, uniform_junta
+from .uniform import uniform_junta
 
 
 class _CliError(Exception):
@@ -111,6 +112,7 @@ def _cmd_gen(args) -> int:
     elif args.command == "gen-no":
         doc = instance_to_json(gen_no(args.n, args.k, rng))
     else:
+        check_width(args.n)
         check_junta_arity(args.k)
         vars = sorted(int(c) + 1 for c in rng.choice(args.n, size=args.k, replace=False))
         table = rand_bits(rng, 1 << args.k)
@@ -126,10 +128,10 @@ def _cmd_test(args) -> int:
         raise _CliError("usage", "--k is required for plain function files")
     D = _pick_dist(args.dist, embedded, f.n)
     rng = np.random.default_rng(args.seed)
+    cfg = DFTesterConfig(k=k, epsilon=args.epsilon)
     if args.tester == "uniform":
-        verdict = uniform_junta(f, UniformTesterConfig(k=k, epsilon=args.epsilon), rng)
+        verdict = uniform_junta(f, cfg, rng)
     else:
-        cfg = DFTesterConfig(k=k, epsilon=args.epsilon)
         run = simple_djunta if args.tester == "simple" else main_djunta
         verdict = run(f, D, cfg, rng)
     _emit(_dump(verdict_to_json(verdict, f.n)), args.out)

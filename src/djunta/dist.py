@@ -143,7 +143,9 @@ class FiniteDistribution:
             return self.points[int(rng.integers(0, len(self.points)))]
         i = int(np.searchsorted(self._cum, rng.random(), side="right"))
         if i >= len(self.points):
-            i = len(self.points) - 1
+            # Round-off left the cumulative sum below the draw: take the
+            # last point that has mass, never a zero-weight one.
+            i = max(j for j, w in enumerate(self.weights) if w > 0)
         return self.points[i]
 
     def sample(self, rng) -> BitString:

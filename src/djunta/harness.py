@@ -21,7 +21,7 @@ from .dist import FiniteDistribution
 from .errors import ContractError, WitnessError
 from .oracle_bf import verify_witness
 from .tester import DFTesterConfig, main_djunta, simple_djunta
-from .uniform import UniformTesterConfig, uniform_junta
+from .uniform import uniform_junta
 
 # 95% two-sided normal quantile.
 _WILSON_Z = 1.959963984540054
@@ -77,15 +77,11 @@ class TrialReport:
         }
 
 
-def _uniform(f: FunctionOracle, D, cfg, rng):
-    # The uniform tester ignores D and tests the same k and epsilon.
-    return uniform_junta(f, UniformTesterConfig(k=cfg.k, epsilon=cfg.epsilon), rng)
-
-
 _TESTERS: dict[str, Callable] = {
     "simple": simple_djunta,
     "main": main_djunta,
-    "uniform": _uniform,
+    # The uniform tester ignores D.
+    "uniform": lambda f, D, cfg, rng: uniform_junta(f, cfg, rng),
 }
 
 
@@ -104,9 +100,9 @@ def run_trials(instance_source, tester, cfg, trials: int, seed: int) -> TrialRep
     instance_source: either a fixed (oracle, distribution) pair, a fixed
     generated instance (anything with .oracle() and .D), or a callable
     taking an rng and returning one of those.  tester: "simple", "main",
-    "uniform", or a callable (f, D, cfg, rng) -> Verdict.  cfg is a
-    DFTesterConfig, or for "uniform" either that or a UniformTesterConfig;
-    only its k and epsilon reach the uniform tester.
+    "uniform", or a callable (f, D, cfg, rng) -> Verdict.  cfg is the
+    tester config (DFTesterConfig, also named UniformTesterConfig), which
+    every tester takes as it is.
     """
     if trials < 1:
         raise ContractError(f"need trials >= 1, got {trials}")

@@ -51,6 +51,41 @@ def _endpoint_checks(g: FunctionOracle, x: BitString, y: BitString) -> None:
         raise ContractError("endpoints must disagree, so they cannot be equal")
 
 
+def _halve(g: FunctionOracle, xb: int, yb: int, masks: list[int], fx: int | None):
+    """The halving loop both searches share, over disjoint int masks.
+
+    Halves the window of candidate masks per step, flipping x on the lower
+    half's part of diff(x, y); a probe that touches no difference would
+    give z == x and is skipped without a query.  Returns (xb, yb, index,
+    fx, fy, queries): the final pair differs only inside masks[index].
+    """
+    if fx is None:
+        fx = g.peek_bits(xb)
+    fy = fx ^ 1
+    budget = ceil_log2(len(masks))
+    queries = 0
+    lo, hi = 0, len(masks)
+    while hi - lo > 1:
+        mid = lo + (hi - lo) // 2
+        probe = 0
+        for m in masks[lo:mid]:
+            probe |= m
+        probe &= xb ^ yb
+        if probe == 0:
+            lo = mid
+            continue
+        zb = xb ^ probe
+        fz = g.eval_bits(zb)
+        queries += 1
+        if fz != fx:
+            # x and z disagree; the culprit is in the flipped half.
+            yb, fy, hi = zb, fz, mid
+        else:
+            xb, lo = zb, mid
+    assert queries <= budget
+    return xb, yb, lo, fx, fy, queries
+
+
 def binary_search(
     g: FunctionOracle,
     x: BitString,
@@ -65,26 +100,10 @@ def binary_search(
     ceil(log2 |diff(x, y)|) queries.
     """
     _endpoint_checks(g, x, y)
-    xb, yb = x.bits, y.bits
-    coords = coords_of(xb ^ yb)
-    if fx is None:
-        fx = g.peek_bits(xb)
-    fy = fx ^ 1
-    budget = ceil_log2(len(coords))
-    queries = 0
-    while len(coords) > 1:
-        half = len(coords) // 2
-        low = coords[:half]
-        zb = xb ^ mask_of(low)
-        fz = g.eval_bits(zb)
-        queries += 1
-        if fz != fx:
-            # x and z disagree; the culprit is among the flipped half.
-            yb, fy, coords = zb, fz, low
-        else:
-            xb, coords = zb, coords[half:]
-    assert queries <= budget
-    i = coords[0]
+    coords = coords_of(x.bits ^ y.bits)
+    masks = [1 << (c - 1) for c in coords]
+    xb, yb, j, fx, fy, queries = _halve(g, x.bits, y.bits, masks, fx)
+    i = coords[j]
     pair = DistinguishingPair(BitString(g.n, xb), BitString(g.n, yb), frozenset((i,)))
     return SearchResult(pair, i, queries, fx, fy)
 
@@ -106,7 +125,6 @@ def block_binary_search(
     certifies that block.  Spends at most ceil(log2 len(blocks)) queries.
     """
     _endpoint_checks(g, x, y)
-    xb, yb = x.bits, y.bits
     masks = []
     seen = 0
     for b in blocks:
@@ -117,32 +135,8 @@ def block_binary_search(
             raise ContractError("blocks must be pairwise disjoint")
         seen |= m
         masks.append(m)
-    if (xb ^ yb) & ~seen:
+    if (x.bits ^ y.bits) & ~seen:
         raise ContractError("diff(x, y) must be covered by the blocks")
-    if fx is None:
-        fx = g.peek_bits(xb)
-    fy = fx ^ 1
-    budget = ceil_log2(len(masks))
-    queries = 0
-    lo, hi = 0, len(masks)
-    while hi - lo > 1:
-        mid = lo + (hi - lo) // 2
-        probe = 0
-        for m in masks[lo:mid]:
-            probe |= m
-        probe &= xb ^ yb
-        if probe == 0:
-            # Flipping nothing: z would equal x, no need to ask.
-            lo = mid
-            continue
-        zb = xb ^ probe
-        fz = g.eval_bits(zb)
-        queries += 1
-        if fz != fx:
-            yb, fy, hi = zb, fz, mid
-        else:
-            xb, lo = zb, mid
-    assert queries <= budget
-    j = lo
+    xb, yb, j, fx, fy, queries = _halve(g, x.bits, y.bits, masks, fx)
     pair = DistinguishingPair(BitString(g.n, xb), BitString(g.n, yb), frozenset(blocks[j]))
     return BlockSearchResult(pair, j, queries, fx, fy)

@@ -9,8 +9,10 @@ query count grows with log n.  `main_djunta` keeps whole blocks and only
 ever verifies that a block's restriction behaves like one variable, which
 makes its query count independent of n: blocks it has vetted live in V,
 blocks still in doubt wait in U, and every round either grows this pool or
-retires a doubt.  Both take k and epsilon through a DFTesterConfig, which
-derives every budget from them, and all their randomness from an `rng`.
+retires a doubt.  Both take k and epsilon through the one tester config,
+DFTesterConfig (defined in uniform.py, shared with the uniform tester),
+which derives every budget from them, and all their randomness from an
+`rng`.
 
 The subroutines: `where_is_the_literal` spends at most four queries to tell
 which half of a partitioned block controls a near-literal restriction, and
@@ -21,10 +23,8 @@ variable at all, splitting the block in two when it is not.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import chain
-from math import ceil
 
 from .boolfn import (
     BitFeed,
@@ -34,75 +34,15 @@ from .boolfn import (
     FunctionOracle,
     Verdict,
     block_of,
-    ceil_log2,
     coords_of,
     gather_bits,
     mask_of,
     scatter_bits,
 )
 from .dist import FiniteDistribution
-from .errors import BudgetError, ContractError, DimensionError
+from .errors import ContractError, DimensionError
 from .search import binary_search, block_binary_search
-from .uniform import UniformTesterConfig, uniform_junta
-
-
-@dataclass(frozen=True)
-class DFTesterConfig:
-    """Settings of the two distribution-free testers: k, epsilon and debug.
-
-    Every budget is derived from k and epsilon at construction and is
-    read-only: simple_rounds = ceil(8(k+1)/eps) for the log-n tester,
-    search_rounds = ceil(64k/eps) and verify_rounds = 3(k+1) for the main
-    tester, and gamma = 1/(8k), the closeness level at which a block counts
-    as settled.  Round counts are computed on the exact rational value of
-    epsilon, so a given (k, epsilon) always yields the same budgets.
-    `debug` makes main_djunta assert its pool invariants after every round.
-    """
-
-    k: int
-    epsilon: float
-    debug: bool = False
-    simple_rounds: int = field(init=False)
-    search_rounds: int = field(init=False)
-    verify_rounds: int = field(init=False)
-    gamma: float = field(init=False)
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ContractError(f"need k >= 1, got {self.k}")
-        if not 0 < self.epsilon <= 1:
-            raise ContractError(f"need 0 < epsilon <= 1, got {self.epsilon}")
-        eps = Fraction(self.epsilon)
-        object.__setattr__(self, "simple_rounds", ceil(8 * (self.k + 1) / eps))
-        object.__setattr__(self, "search_rounds", ceil(64 * self.k / eps))
-        object.__setattr__(self, "verify_rounds", 3 * (self.k + 1))
-        object.__setattr__(self, "gamma", 1 / (8 * self.k))
-
-    def inner_uniform_cfg(self) -> UniformTesterConfig:
-        """Config of the arity-1 uniform tester run on block restrictions.
-
-        Its epsilon is gamma as an exact rational, so its rounds come out
-        at exactly 256k (a float gamma would give 769 at k = 3).
-        """
-        return UniformTesterConfig(k=1, epsilon=Fraction(1, 8 * self.k))
-
-    def literal_query_ceiling(self) -> int:
-        """Worst case of one `literal` call, label re-queries included."""
-        reps = ceil_log2(self.k) + 6
-        splits = ceil_log2(self.k) + 3
-        return reps * self.inner_uniform_cfg().query_ceiling() + 2 + splits * 4
-
-    def simple_query_ceiling(self, n: int) -> int:
-        """Per-run cap for simple_djunta on n coordinates."""
-        return 2 * self.simple_rounds + (self.k + 1) * ceil_log2(max(1, n))
-
-    def main_query_ceiling(self) -> int:
-        """Per-run cap for main_djunta; no dependence on n."""
-        per_search = 4 * self.k + 2 + ceil_log2(self.k + 1)
-        return (
-            self.search_rounds * per_search
-            + self.verify_rounds * self.literal_query_ceiling()
-        )
+from .uniform import DFTesterConfig, close_run, uniform_junta
 
 
 def _check_dims(f: FunctionOracle, D: FiniteDistribution) -> None:
@@ -187,15 +127,16 @@ def _literal(
     yb: int,
     labels: tuple[int, int] | None,
     cfg: DFTesterConfig,
+    inner: DFTesterConfig,
     feed: BitFeed,
 ) -> LiteralResult:
+    # `inner` is cfg.inner_uniform_cfg(), built once by the caller.
     n = g.n
     if n == 1:
         # A one-coordinate domain with a disagreeing pair is a literal.
         return LiteralResult(True)
-    ucfg = cfg.inner_uniform_cfg()
-    for _ in range(ceil_log2(cfg.k) + 6):
-        verdict = uniform_junta(g, ucfg, feed)
+    for _ in range(cfg.literal_passes):
+        verdict = uniform_junta(g, inner, feed)
         if verdict.is_reject:
             p0, p1 = verdict.witness
             return LiteralResult(False, (SplitPart(p0), SplitPart(p1)))
@@ -205,7 +146,7 @@ def _literal(
     else:
         fx, fy = labels
     full = (1 << n) - 1
-    for _ in range(ceil_log2(cfg.k) + 3):
+    for _ in range(cfg.literal_halvings):
         c1 = feed.take(n)
         c2 = c1 ^ full
         if c1 == 0 or c2 == 0:
@@ -240,13 +181,16 @@ def literal(
     point whose value flips under both halves but not under the whole,
     which is impossible for a literal but likely for a near-constant.
     Survives both phases: answer True.  Split parts always carry valid
-    pairs, so a True verdict is the only unverified claim.
+    pairs, so a True verdict is the only unverified claim.  Both counts
+    come from cfg (literal_passes, literal_halvings).
     """
     if pair.x.n != g.n or pair.y.n != g.n:
         raise DimensionError(f"pair must live on {g.n} coordinates")
     if pair.x.bits == pair.y.bits:
         raise ContractError("pair endpoints must differ")
-    return _literal(g, pair.x.bits, pair.y.bits, None, cfg, BitFeed.of(rng))
+    return _literal(
+        g, pair.x.bits, pair.y.bits, None, cfg, cfg.inner_uniform_cfg(), BitFeed.of(rng)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +215,9 @@ def simple_djunta(
     raw = feed.rng
     n = f.n
     full = (1 << n) - 1
-    q0, s0 = f.counter.snapshot()
-    ceiling = cfg.simple_query_ceiling(n)
+    start = f.counter.snapshot()
     imask = 0
     found: list[DistinguishingPair] = []
-
-    def finish(outcome: str) -> Verdict:
-        q1, s1 = f.counter.snapshot()
-        if (q1 - q0) + (s1 - s0) > ceiling:
-            raise BudgetError(
-                f"simple tester spent {(q1 - q0) + (s1 - s0)}, ceiling {ceiling}"
-            )
-        witness = tuple(found) if outcome == "reject" else ()
-        return Verdict(outcome, witness, q1 - q0, s1 - s0)
 
     for _ in range(cfg.simple_rounds):
         xb = D.sample_bits(raw)
@@ -300,8 +234,8 @@ def simple_djunta(
         imask |= 1 << (res.coord - 1)
         found.append(res.pair)
         if len(found) > cfg.k:
-            return finish("reject")
-    return finish("accept")
+            return close_run(f, start, cfg.simple_query_ceiling(n), "simple_djunta", tuple(found))
+    return close_run(f, start, cfg.simple_query_ceiling(n), "simple_djunta")
 
 
 # ---------------------------------------------------------------------------
@@ -390,28 +324,14 @@ def main_djunta(
     raw = feed.rng
     n = f.n
     full = (1 << n) - 1
-    q0, s0 = f.counter.snapshot()
-    ceiling = cfg.main_query_ceiling()
+    start = f.counter.snapshot()
+    inner = cfg.inner_uniform_cfg()
 
     V: list[_Entry] = []
     U: deque[_Entry] = deque()
     r1 = cfg.search_rounds
     r2 = cfg.verify_rounds
     potential = 0
-
-    def finish(outcome: str) -> Verdict:
-        q1, s1 = f.counter.snapshot()
-        if (q1 - q0) + (s1 - s0) > ceiling:
-            raise BudgetError(
-                f"main tester spent {(q1 - q0) + (s1 - s0)}, ceiling {ceiling}"
-            )
-        witness = ()
-        if outcome == "reject":
-            witness = tuple(
-                DistinguishingPair(BitString(n, e.xb), BitString(n, e.yb), block_of(e.mask))
-                for e in chain(V, U)
-            )
-        return Verdict(outcome, witness, q1 - q0, s1 - s0)
 
     while r1 > 0 and r2 > 0:
         if not U:
@@ -491,7 +411,7 @@ def main_djunta(
                 xpos = gather_bits(e.xb, e.coords)
                 ypos = gather_bits(e.yb, e.coords)
                 labels = None if e.fx is None else (e.fx, e.fy)
-                res = _literal(e.view, xpos, ypos, labels, cfg, feed)
+                res = _literal(e.view, xpos, ypos, labels, cfg, inner, feed)
             if res.is_literal:
                 V.append(e)
             else:
@@ -504,5 +424,9 @@ def main_djunta(
             assert now >= potential
             potential = now
         if len(V) + len(U) >= cfg.k + 1:
-            return finish("reject")
-    return finish("accept")
+            witness = tuple(
+                DistinguishingPair(BitString(n, e.xb), BitString(n, e.yb), block_of(e.mask))
+                for e in chain(V, U)
+            )
+            return close_run(f, start, cfg.main_query_ceiling(), "main_djunta", witness)
+    return close_run(f, start, cfg.main_query_ceiling(), "main_djunta")

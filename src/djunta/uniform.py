@@ -8,13 +8,16 @@ f(x) != f(y) lets block binary search pin one new relevant block.  Finding
 k+1 disjoint relevant blocks, each holding a distinguishing pair, is proof
 that f is no k-junta, so rejection is always certified and a true k-junta
 is accepted on every seed.
+
+The module also holds what all three testers share: their one config,
+DFTesterConfig, and `close_run`, which checks a run's spend against its
+ceiling and builds the Verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
 
 import numpy as np
 
@@ -36,32 +39,108 @@ from .search import block_binary_search
 
 
 @dataclass(frozen=True)
-class UniformTesterConfig:
-    """Parameters of the uniform-distribution tester: k and epsilon.
+class DFTesterConfig:
+    """Settings of all three testers: k, epsilon and debug.
 
-    The budgets are derived from them at construction and read-only:
-    num_blocks = 10k², enough for a random partition to separate the
-    relevant variables of a nearby junta with decent probability, and
-    rounds = ceil(16(k+1)/epsilon), computed on the exact rational value
-    of epsilon so a given (k, epsilon) always yields the same count.
+    Every budget is derived from k and epsilon at construction and is
+    read-only.  Round counts are computed on the exact rational value of
+    epsilon, so a given (k, epsilon) always yields the same budgets.
+
+    - uniform_junta: num_blocks = 10k², enough for a random partition to
+      separate the relevant variables of a nearby junta with decent
+      probability, and rounds = ceil(16(k+1)/eps).
+    - simple_djunta: simple_rounds = ceil(8(k+1)/eps).
+    - main_djunta: search_rounds = ceil(64k/eps), verify_rounds = 3(k+1),
+      and gamma = 1/(8k), the closeness level at which a block counts as
+      settled.  Its `literal` check runs the arity-1 uniform tester
+      literal_passes = ceil(log2 k)+6 times, then tries
+      literal_halvings = ceil(log2 k)+3 random halvings.
+
+    `debug` makes main_djunta assert its pool invariants after every round.
     """
 
     k: int
     epsilon: float
+    debug: bool = False
     num_blocks: int = field(init=False)
     rounds: int = field(init=False)
+    simple_rounds: int = field(init=False)
+    search_rounds: int = field(init=False)
+    verify_rounds: int = field(init=False)
+    gamma: float = field(init=False)
+    literal_passes: int = field(init=False)
+    literal_halvings: int = field(init=False)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ContractError(f"need k >= 1, got {self.k}")
+        k = self.k
+        if k < 1:
+            raise ContractError(f"need k >= 1, got {k}")
         if not 0 < self.epsilon <= 1:
             raise ContractError(f"need 0 < epsilon <= 1, got {self.epsilon}")
-        object.__setattr__(self, "num_blocks", 10 * self.k * self.k)
-        object.__setattr__(self, "rounds", ceil(16 * (self.k + 1) / Fraction(self.epsilon)))
+        p, q = self.epsilon.as_integer_ratio()
+
+        def over_eps(c: int) -> int:
+            # ceil(c / epsilon) on epsilon's exact ratio, in integers.
+            return -(-c * q // p)
+
+        object.__setattr__(self, "num_blocks", 10 * k * k)
+        object.__setattr__(self, "rounds", over_eps(16 * (k + 1)))
+        object.__setattr__(self, "simple_rounds", over_eps(8 * (k + 1)))
+        object.__setattr__(self, "search_rounds", over_eps(64 * k))
+        object.__setattr__(self, "verify_rounds", 3 * (k + 1))
+        object.__setattr__(self, "gamma", 1 / (8 * k))
+        object.__setattr__(self, "literal_passes", ceil_log2(k) + 6)
+        object.__setattr__(self, "literal_halvings", ceil_log2(k) + 3)
 
     def query_ceiling(self) -> int:
-        """Hard per-run cap: two queries a round plus k+1 block searches."""
+        """Per-run cap for uniform_junta: two queries a round, k+1 searches."""
         return 2 * self.rounds + (self.k + 1) * ceil_log2(self.num_blocks)
+
+    def simple_query_ceiling(self, n: int) -> int:
+        """Per-run cap for simple_djunta on n coordinates."""
+        return 2 * self.simple_rounds + (self.k + 1) * ceil_log2(max(1, n))
+
+    def inner_uniform_cfg(self) -> DFTesterConfig:
+        """Config of the arity-1 uniform tester run on block restrictions.
+
+        Its epsilon is gamma as an exact rational, so its rounds come out
+        at exactly 256k (a float gamma would give 769 at k = 3).
+        """
+        return DFTesterConfig(k=1, epsilon=Fraction(1, 8 * self.k))
+
+    def literal_query_ceiling(self) -> int:
+        """Worst case of one `literal` call, label re-queries included."""
+        inner = self.inner_uniform_cfg().query_ceiling()
+        return self.literal_passes * inner + 2 + self.literal_halvings * 4
+
+    def main_query_ceiling(self) -> int:
+        """Per-run cap for main_djunta; no dependence on n."""
+        per_search = 4 * self.k + 2 + ceil_log2(self.k + 1)
+        return (
+            self.search_rounds * per_search
+            + self.verify_rounds * self.literal_query_ceiling()
+        )
+
+
+#: The uniform tester's name for the one config.
+UniformTesterConfig = DFTesterConfig
+
+
+def close_run(
+    f: FunctionOracle, start: tuple[int, int], ceiling: int, tester: str, witness: tuple = ()
+) -> Verdict:
+    """End a tester run: charge f's spend since `start` against `ceiling`.
+
+    Raises BudgetError naming `tester` when queries plus samples exceed the
+    ceiling.  Otherwise returns the Verdict: a rejection when `witness`
+    (k+1 blocks, never empty) is given, an acceptance when it is not.
+    """
+    q0, s0 = start
+    q1, s1 = f.counter.snapshot()
+    spent = (q1 - q0) + (s1 - s0)
+    if spent > ceiling:
+        raise BudgetError(f"{tester} spent {spent} queries and samples, ceiling {ceiling}")
+    return Verdict("reject" if witness else "accept", witness, q1 - q0, s1 - s0)
 
 
 #: Each call runs its first max(_SCALAR_ROUNDS, _SCALAR_BITS // w) rounds
@@ -80,7 +159,7 @@ _FIRST_BATCH = 64
 _MAX_BATCH = 256
 
 
-def uniform_junta(f: FunctionOracle, cfg: UniformTesterConfig, rng) -> Verdict:
+def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
     """Test whether f is a k-junta under the uniform distribution.
 
     Accepts every k-junta outright; rejects an epsilon-far f with
@@ -102,7 +181,7 @@ def uniform_junta(f: FunctionOracle, cfg: UniformTesterConfig, rng) -> Verdict:
     n = f.n
     feed = BitFeed.of(rng)
     raw = feed.rng
-    q0, s0 = f.counter.snapshot()
+    start = f.counter.snapshot()
 
     # One random partition for the whole run: coordinate -> block id.
     assignment = raw.integers(0, cfg.num_blocks, size=n)
@@ -119,16 +198,6 @@ def uniform_junta(f: FunctionOracle, cfg: UniformTesterConfig, rng) -> Verdict:
     backend = f.backend
     counter = f.counter
     nwords = (n + 63) >> 6
-
-    def finish(outcome: str) -> Verdict:
-        q1, s1 = f.counter.snapshot()
-        spent = (q1 - q0) + (s1 - s0)
-        if spent > cfg.query_ceiling():
-            raise BudgetError(
-                f"uniform tester spent {spent} queries, ceiling {cfg.query_ceiling()}"
-            )
-        witness = tuple(found) if outcome == "reject" else ()
-        return Verdict(outcome, witness, q1 - q0, s1 - s0)
 
     def split(xb: int, yb: int, fx: int) -> int:
         """Pin one relevant block behind a disagreeing round; return its mask."""
@@ -200,7 +269,7 @@ def uniform_junta(f: FunctionOracle, cfg: UniformTesterConfig, rng) -> Verdict:
                 done += used
                 batch = min(2 * batch, _MAX_BATCH)
                 if len(found) > cfg.k:
-                    return finish("reject")
+                    return close_run(f, start, cfg.query_ceiling(), "uniform_junta", tuple(found))
                 continue
             # The buffer ends inside this round: it pulls the next chunk
             # from the generator, one round at a time as always.
@@ -216,8 +285,8 @@ def uniform_junta(f: FunctionOracle, cfg: UniformTesterConfig, rng) -> Verdict:
         if fx != fy:
             split(xb, yb, fx)
             if len(found) > cfg.k:
-                return finish("reject")
-    return finish("accept")
+                return close_run(f, start, cfg.query_ceiling(), "uniform_junta", tuple(found))
+    return close_run(f, start, cfg.query_ceiling(), "uniform_junta")
 
 
 @dataclass(frozen=True)

@@ -324,5 +324,6 @@ def test_width_cap_exits_4(tmp_path, capsys):
         assert run("test", "--tester", "simple", "--epsilon", 0.5, "--k", 1, "--in", p) == 4
     assert run("bench", "--k", 1, "--epsilon", 0.5, "--n", huge, "--trials", 1) == 4
     assert run("gen-no", "--n", huge, "--k", 1) == 4
+    assert run("gen-junta", "--n", huge, "--k", 2) == 4
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 4 and all(e.startswith("error: size:") for e in err)
+    assert len(err) == 5 and all(e.startswith("error: size:") for e in err)

@@ -73,6 +73,27 @@ def test_weighted_sampling_frequencies():
     assert 100 <= ones <= 320
 
 
+class _FixedDraw:
+    """Stands in for a Generator whose `random()` returns one fixed value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_weighted_sampling_never_returns_zero_mass():
+    # Ten weights of 0.1 sum to 0.9999999999999999 in floats, so the top
+    # draw overshoots the cumulative sum; it must land on mass, not on the
+    # trailing zero-weight point.
+    D = FiniteDistribution.support(4, tuple(range(11)), weights=[0.1] * 10 + [0.0])
+    assert D.mass(D.sample_bits(_FixedDraw(1 - 2**-53))) > 0
+    assert D.sample_bits(_FixedDraw(1 - 2**-53)) == 9
+    # Draws that do not overshoot are unchanged.
+    assert [D.sample_bits(_FixedDraw(u)) for u in (0.0, 0.05, 0.15, 0.95)] == [0, 0, 1, 9]
+
+
 def test_json_round_trip():
     for D in (
         FiniteDistribution.uniform_cube(5),

@@ -12,6 +12,7 @@ from djunta import (
     main_djunta,
     rand_bits,
     simple_djunta,
+    uniform_junta,
     verify_witness,
     where_is_the_literal,
 )
@@ -59,6 +60,38 @@ class TestConfig:
             DFTesterConfig(k=2, epsilon=2.0)
         with pytest.raises(TypeError):
             DFTesterConfig(k=2, epsilon=0.5, simple_rounds=5)  # budgets are derived
+
+
+class _NoSimpleBudget(DFTesterConfig):
+    def simple_query_ceiling(self, n):
+        return 0
+
+
+class _NoMainBudget(DFTesterConfig):
+    def main_query_ceiling(self):
+        return 0
+
+
+class _NoUniformBudget(DFTesterConfig):
+    def query_ceiling(self):
+        return 0
+
+
+@pytest.mark.parametrize(
+    "run, cfg_class, name",
+    [
+        (simple_djunta, _NoSimpleBudget, "simple_djunta"),
+        (main_djunta, _NoMainBudget, "main_djunta"),
+        (lambda f, D, cfg, rng: uniform_junta(f, cfg, rng), _NoUniformBudget, "uniform_junta"),
+    ],
+    ids=["simple", "main", "uniform"],
+)
+def test_each_tester_enforces_its_own_ceiling(run, cfg_class, name):
+    # Any spend overruns a zero ceiling; the error names the tester.
+    f = FunctionOracle.from_junta(8, (1, 2), 0b0110)
+    D = FiniteDistribution.uniform_cube(8)
+    with pytest.raises(BudgetError, match=name):
+        run(f, D, cfg_class(k=1, epsilon=0.5), np.random.default_rng(0))
 
 
 class TestWhere:
