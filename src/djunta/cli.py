@@ -180,12 +180,17 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    f, _, _ = _load_function(getattr(args, "in"))
+    f, _, k = _load_function(getattr(args, "in"))
     doc = _load_doc(args.witness)
     with _parsing(args.witness):
         verdict = verdict_from_json(doc, f.n)
-    ok = verify_witness(f, verdict.witness)
-    _emit(_dump({"kind": "verify_report", "ok": ok, "blocks": len(verdict.witness)}), args.out)
+    # A rejection of "f is a k-junta" needs k+1 blocks; without k, one.
+    need = 1 if k is None else k + 1
+    blocks = len(verdict.witness)
+    ok = blocks >= need and verify_witness(f, verdict.witness)
+    _emit(_dump({"kind": "verify_report", "ok": ok, "blocks": blocks}), args.out)
+    if blocks < need:
+        raise _CliError("witness", f"witness has {blocks} blocks, need at least {need}", status=1)
     if not ok:
         raise _CliError("witness", "witness failed re-verification", status=1)
     return 0

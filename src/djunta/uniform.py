@@ -26,7 +26,6 @@ from .boolfn import (
     BitString,
     DistinguishingPair,
     FunctionOracle,
-    RestrictionBackend,
     Verdict,
     block_of,
     ceil_log2,
@@ -143,17 +142,11 @@ def close_run(
     return Verdict("reject" if witness else "accept", witness, q1 - q0, s1 - s0)
 
 
-#: Each call runs its first max(_SCALAR_ROUNDS, _SCALAR_BITS // w) rounds
-#: through the scalar `value`, for points w bits wide (a restriction's
-#: points are its parent's).  A batch pays a fixed numpy overhead (a few
-#: hundred µs) and evaluates rounds past the one that stops the call, so
-#: it pays off only on calls that live long after it starts.  Most
-#: rejecting calls stop inside the scalar rounds.  A scalar round's cost
-#: grows with w: about 60 µs at w = 300, where batching repays its
-#: overhead within tens of rounds, but 5 µs at w = 14, where a batched row
-#: costs about as much as a scalar one.
+#: Each call runs its first _SCALAR_ROUNDS rounds through the scalar
+#: `value`, then batches.  A batch pays a fixed numpy overhead and
+#: evaluates rounds past the one that stops the call, and most rejecting
+#: calls stop inside the scalar rounds.
 _SCALAR_ROUNDS = 32
-_SCALAR_BITS = 8192
 #: Rounds in the first batch; each later batch doubles, up to the cap.
 _FIRST_BATCH = 64
 _MAX_BATCH = 256
@@ -171,12 +164,11 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
 
     A round draws x and a flip set, n bits each, from the feed and costs
     two queries when the flip set is nonempty.  The first rounds go one at
-    a time through the backend's `value`, more of them on narrow points;
-    later ones go in batches through its `values`, never more than the
-    feed has buffered.  A batch evaluates rounds past the one that stops
-    the run, charges none of them, and hands their bits back to the feed,
-    so verdicts, counts and the feed's stream come out exactly as in a
-    round-by-round run.
+    a time through the backend's `value`; later ones go in batches through
+    its `values`, never more than the feed has buffered.  A batch evaluates
+    rounds past the one that stops the run, charges none of them, and hands
+    their bits back to the feed, so verdicts, counts and the feed's stream
+    come out exactly as in a round-by-round run.
     """
     n = f.n
     feed = BitFeed.of(rng)
@@ -249,18 +241,13 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
                 fy[moved] = backend.values(Y[moved])
                 hit[moved] = live[moved] & (fx[moved] != fy[moved])
 
-    # A restriction evaluates its parent's points.
-    root = backend
-    while isinstance(root, RestrictionBackend):
-        root = root.parent
-    scalar_rounds = max(_SCALAR_ROUNDS, _SCALAR_BITS // root.n)
     value = backend.value
     done = 0
     batch = _FIRST_BATCH
     # Once open_union is 0, everything sits in relevant blocks: y would
     # equal x in every later round, so no evidence can turn up.
     while done < cfg.rounds and open_union:
-        if done >= scalar_rounds:
+        if done >= _SCALAR_ROUNDS:
             block = feed.peek_block(n, 2 * min(batch, cfg.rounds - done))
             rows = len(block) // 2
             if rows:

@@ -65,6 +65,32 @@ def test_verify_rejects_tampered_witness(tmp_path, capsys):
     assert "error: witness:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["empty reject", "accept", "k blocks", "no k, empty"])
+def test_verify_refuses_short_witness(tmp_path, capsys, case):
+    """A witness certifies "not a k-junta" only with k+1 blocks, or with at
+    least one block when the input records no k."""
+    g = tmp_path / "g.json"
+    if case == "no k, empty":
+        run("gen-junta", "--n", 8, "--k", 2, "--seed", 0, "--out", g)
+    else:
+        run("gen-no", "--n", 14, "--k", 2, "--seed", 1, "--out", g)
+    v = tmp_path / "v.json"
+    if case == "k blocks":
+        run("test", "--tester", "main", "--epsilon", 0.333, "--in", g, "--seed", 0, "--out", v)
+        doc = json.loads(v.read_text())
+        doc["witness"] = doc["witness"][:2]  # each block still checks out
+    else:
+        outcome = "accept" if case == "accept" else "reject"
+        doc = {"outcome": outcome, "queries": 0, "samples": 0, "witness": []}
+    v.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run("verify", "--in", g, "--witness", v, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: witness:") and err.count("\n") == 1
+    assert json.loads(out.read_text())["ok"] is False
+
+
 def test_dist_on_instance(tmp_path):
     g = tmp_path / "g.json"
     run("gen-no", "--n", 14, "--k", 2, "--seed", 1, "--out", g)

@@ -16,7 +16,9 @@ from djunta import (
     verify_witness,
 )
 from djunta import uniform as uniform_module
+from djunta.boolfn import JuntaBackend, RestrictionBackend, TruthTableBackend
 from djunta.errors import ContractError, SizeError
+from djunta.lbgen import _HardLabelBackend
 
 
 def _parity(k):
@@ -184,11 +186,39 @@ def _batch_cases():
         yield lambda w=w, pinned=pinned: hard.oracle().restrict(pinned, w), UniformTesterConfig(
             k=1, epsilon=1 / 24
         )
+    # Narrow points, as `literal` vets blocks: the arity-1 tester at
+    # epsilon = gamma = 1/(8k) on a junta view collapsed to its free block,
+    # and on a block of gen_no(14, 2), the README pipeline's instance.
+    junta = FunctionOracle.from_junta(64, (3, 10, 20, 40), rand_bits(rng, 16))
+    for free in ((3, 7), (3, 10, 11), (1, 2, 20, 30), (10, 12, 13, 50, 60), (4, 5, 6, 40, 41, 42)):
+        pinned = [c for c in range(1, 65) if c not in free]
+        w = BitString(len(pinned), rand_bits(rng, len(pinned)))
+        yield lambda w=w, pinned=pinned: junta.fork().restrict(pinned, w), UniformTesterConfig(
+            k=1, epsilon=Fraction(1, 24)
+        )
+    small = gen_no(14, 2, np.random.default_rng(1))
+    for free in ((2, 5, 9), (1, 4, 6, 8, 13, 14)):
+        pinned = [c for c in range(1, 15) if c not in free]
+        w = BitString(len(pinned), rand_bits(rng, len(pinned)))
+        yield lambda w=w, pinned=pinned: small.oracle().restrict(pinned, w), UniformTesterConfig(
+            k=1, epsilon=Fraction(1, 16)
+        )
+    # one coordinate, constant: nothing is ever found, so every round runs
+    yield FunctionOracle.from_truth_table(1, 0b11).fork, UniformTesterConfig(k=1, epsilon=1 / 8)
 
 
 def test_batched_rounds_match_scalar_rounds(monkeypatch):
     """Verdicts, witnesses, counts and the feed's state after the call are
-    those of the round-by-round loop, which runs when batching is off."""
+    those of the round-by-round loop, which runs when batching is off.  A
+    spy on every backend's `values` checks that each case reaches the
+    batched path, and that the reference never does."""
+    batched_rows = []
+    for cls in (TruthTableBackend, JuntaBackend, RestrictionBackend, _HardLabelBackend):
+        def spy(self, X, _values=cls.values):
+            batched_rows.append(len(X))
+            return _values(self, X)
+
+        monkeypatch.setattr(cls, "values", spy)
 
     def run(make, cfg, seed):
         feed = BitFeed(np.random.default_rng(seed))
@@ -197,7 +227,13 @@ def test_batched_rounds_match_scalar_rounds(monkeypatch):
         return v, f.counter.snapshot(), feed.take(100), feed.rng.bit_generator.state
 
     cases = list(_batch_cases())
-    batched = [run(make, cfg, s) for s in range(3) for make, cfg in cases]
+    batched = []
+    for i, (make, cfg) in enumerate(cases):
+        batched_rows.clear()
+        batched += [run(make, cfg, s) for s in range(3)]
+        assert batched_rows, f"case {i} never reached the batched path"
     monkeypatch.setattr(uniform_module, "_SCALAR_ROUNDS", 10**9)
-    scalar = [run(make, cfg, s) for s in range(3) for make, cfg in cases]
+    batched_rows.clear()
+    scalar = [run(make, cfg, s) for make, cfg in cases for s in range(3)]
+    assert not batched_rows
     assert batched == scalar
