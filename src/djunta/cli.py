@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 
@@ -206,8 +207,16 @@ def _int_list(text: str) -> list[int]:
     return vals
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error reported as one line like every error."""
+
+    def error(self, message):
+        self.exit(2, f"error: usage: {message}\n")
+
+
+@cache  # built once: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="djunta", description="junta testing toolkit")
+    p = _Parser(prog="djunta", description="junta testing toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     def gen(name, help_):
@@ -266,9 +275,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -67,7 +67,20 @@ def _check_shape(n: int, k: int) -> None:
     check_junta_arity(k)  # the background junta's table has 2**k bits
 
 
+#: Bytes of support one transient block holds at most, whether drawn from
+#: the generator or packed into words to take section keys, so a block's
+#: temporaries stay small whatever m is (431 rows at n = 1200).
+_BLOCK_BYTES = 1 << 16
+
+
 def _draw_j_s(n: int, k: int, rng):
+    """J, then m distinct support points in order of first draw.
+
+    The points come in blocks, each one `rng.integers` call over 32-bit
+    words, which emits the same stream as one `rand_bits(rng, n)` call per
+    row.  A block never holds more rows than are still missing, so the
+    generator ends where a point-at-a-time loop would leave it.
+    """
     _check_shape(n, k)
     m = num_support_points(n, k)
     if m > MAX_SUPPORT_POINTS:
@@ -75,14 +88,31 @@ def _draw_j_s(n: int, k: int, rng):
     if m > (1 << n):
         raise SizeError(f"support of {m} distinct strings does not fit in 2**{n}")
     J = frozenset(int(c) + 1 for c in rng.choice(n, size=k, replace=False))
-    seen = set()
-    pts = []
+    nb = (n + 7) // 8
+    words = (nb + 3) // 4
+    top = (1 << (n - 8 * (nb - 1))) - 1  # the last byte's share of the n bits
+    cap = max(1, _BLOCK_BYTES // (4 * words))
+    pts: dict[int, None] = {}  # insertion-ordered; a repeat keeps its first place
     while len(pts) < m:
-        b = rand_bits(rng, n)
-        if b not in seen:
-            seen.add(b)
-            pts.append(b)
+        raw = rng.integers(0, 1 << 32, size=(min(m - len(pts), cap), words), dtype=np.uint32)
+        rows = raw.view(np.uint8)[:, :nb]
+        rows[:, -1] &= top
+        buf = rows.tobytes()
+        fresh = (int.from_bytes(buf[i : i + nb], "little") for i in range(0, len(buf), nb))
+        pts.update(dict.fromkeys(fresh))
     return J, tuple(pts)
+
+
+def _unpack_labels(packed: int, m: int) -> tuple[int, ...]:
+    """Bit i of `packed` as label i, for i < m."""
+    raw = np.frombuffer(packed.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+    return tuple(np.unpackbits(raw, count=m, bitorder="little").tolist())
+
+
+def _pack_labels(labels) -> int:
+    """Inverse of _unpack_labels."""
+    raw = np.packbits(np.asarray(labels, dtype=np.uint8), bitorder="little")
+    return int.from_bytes(raw.tobytes(), "little")
 
 
 @dataclass(frozen=True)
@@ -148,8 +178,7 @@ def gen_no(n: int, k: int, rng) -> NoInstance:
     J, pts = _draw_j_s(n, k, rng)
     table = rand_bits(rng, 1 << k)
     m = len(pts)
-    lab = rand_bits(rng, m)
-    labels = tuple((lab >> i) & 1 for i in range(m))
+    labels = _unpack_labels(rand_bits(rng, m), m)
     S = tuple(BitString(n, b) for b in pts)
     return NoInstance(
         n, k, J, table, S, labels, neighbor_radius(n), FiniteDistribution.support(n, pts)
@@ -173,10 +202,16 @@ class _HardLabelBackend:
         self.radius = inst.radius
         self.exact = {}
         self.sections = {}
-        for p, lab in zip(inst.S, inst.labels):
-            self.exact[p.bits] = lab
-            key = gather_bits(p.bits, self.jcoords)
-            self.sections.setdefault(key, []).append((p.bits, lab))
+        nbytes = 8 * ((self.n + 63) >> 6)
+        step = max(1, _BLOCK_BYTES // nbytes)
+        for a in range(0, len(inst.S), step):
+            pts = [p.bits for p in inst.S[a : a + step]]
+            raw = b"".join(b.to_bytes(nbytes, "little") for b in pts)
+            X = np.frombuffer(raw, dtype="<u8").reshape(len(pts), -1)
+            keys = gather_rows(X, self.jcoords).tolist()
+            for b, lab, key in zip(pts, inst.labels[a : a + step], keys):
+                self.exact[b] = lab
+                self.sections.setdefault(key, []).append((b, lab))
         self._matrices = None
 
     def value(self, xbits: int) -> int:
@@ -265,11 +300,7 @@ def instance_to_json(inst: YesInstance | NoInstance) -> dict:
         "S": [bits_to_hex(p.bits, inst.n) for p in inst.S],
     }
     if isinstance(inst, NoInstance):
-        m = len(inst.S)
-        packed = 0
-        for i, lab in enumerate(inst.labels):
-            packed |= lab << i
-        doc["labels"] = bits_to_hex(packed, m)
+        doc["labels"] = bits_to_hex(_pack_labels(inst.labels), len(inst.S))
         doc["radius"] = inst.radius
     return doc
 
@@ -295,6 +326,8 @@ def instance_from_json(doc: dict) -> YesInstance | NoInstance:
     D = FiniteDistribution.support(n, pts)
     if kind == "yes_instance":
         return YesInstance(n, k, J, table, S, D)
-    packed = hex_to_bits(doc["labels"], len(pts))
-    labels = tuple((packed >> i) & 1 for i in range(len(pts)))
-    return NoInstance(n, k, J, table, S, labels, int(doc["radius"]), D)
+    labels = _unpack_labels(hex_to_bits(doc["labels"], len(pts)), len(pts))
+    radius = doc["radius"]
+    if type(radius) is not int or not 0 <= radius <= n:
+        raise ContractError(f"radius must be an integer in 0..{n}")
+    return NoInstance(n, k, J, table, S, labels, radius, D)

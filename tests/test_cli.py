@@ -199,6 +199,25 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: parse:") and err.count("\n") == 1
 
+    def test_bad_radius(self, tmp_path, capsys):
+        doc = instance_to_json(gen_no(14, 2, np.random.default_rng(1)))
+        p = tmp_path / "f.json"
+        commands = (
+            ("dist", "--k", 2),
+            ("test", "--tester", "main", "--epsilon", 0.33, "--k", 2),
+            ("verify", "--witness", p),
+        )
+        for radius in (-3, 15, 10**400, 5.0, "5", True, None):
+            p.write_text(json.dumps(dict(doc, radius=radius)))
+            for argv in commands:
+                assert run(*argv, "--in", p) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: parse:") and err.count("\n") == 1
+        for radius in (0, 14):
+            p.write_text(json.dumps(dict(doc, radius=radius)))
+            assert run("dist", "--k", 2, "--in", p) == 0
+        capsys.readouterr()
+
     def test_support_size_cap(self, capsys):
         assert run("gen-no", "--n", 64, "--k", 20, "--seed", 0) == 4
         err = capsys.readouterr().err
@@ -235,11 +254,23 @@ class TestErrors:
 
     def test_usage_exit_from_argparse(self, capsys):
         assert run("test", "--tester", "simple") == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and err.count("\n") == 1
 
     def test_unknown_subcommand(self, capsys):
         assert run("frobnicate") == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and err.count("\n") == 1
+
+    def test_parser_reuse_keeps_no_values(self, tmp_path, capsys):
+        # The parser is built once per process; a value one call parses
+        # must not become a default of the next.
+        f = tmp_path / "f.json"
+        run("gen-junta", "--n", 8, "--k", 2, "--seed", 0, "--out", f)
+        v = tmp_path / "v.json"
+        assert run("test", "--tester", "simple", "--epsilon", 0.5, "--k", 2, "--in", f, "--out", v) == 0
+        assert run("test", "--tester", "simple", "--epsilon", 0.5, "--in", f) == 2
+        assert "--k is required" in capsys.readouterr().err
 
     def test_bad_epsilon(self, tmp_path, capsys):
         f = tmp_path / "f.json"

@@ -1,7 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from djunta import (
     BitString,
@@ -18,6 +22,8 @@ from djunta import (
     neighbor_radius,
     num_support_points,
 )
+from djunta.boolfn import rand_bits
+from djunta.cli import main
 from djunta.errors import ContractError, DimensionError, SizeError
 from djunta.lbgen import MAX_SUPPORT_POINTS
 
@@ -153,3 +159,67 @@ def test_json_seed_form():
 def test_json_unknown_kind():
     with pytest.raises(ContractError):
         instance_from_json({"kind": "mystery", "n": 4, "k": 1})
+
+
+# ---------------------------------------------------------------------------
+# the random stream: blocked draws against the point-at-a-time loop
+
+
+def _reference_gen(n, k, rng, no):
+    """gen_yes/gen_no's draws as one rand_bits call per support point and a
+    per-bit label decode, the loops the blocked draw replaced, verbatim.
+    Returns (J, support bits, table, labels or None)."""
+    m = num_support_points(n, k)
+    J = frozenset(int(c) + 1 for c in rng.choice(n, size=k, replace=False))
+    seen = set()
+    pts = []
+    while len(pts) < m:
+        b = rand_bits(rng, n)
+        if b not in seen:
+            seen.add(b)
+            pts.append(b)
+    table = rand_bits(rng, 1 << k)
+    if not no:
+        return J, pts, table, None
+    lab = rand_bits(rng, m)
+    return J, pts, table, tuple((lab >> i) & 1 for i in range(m))
+
+
+_STREAM_CASES = st.one_of(
+    # dense: n = 10, k = 3 keeps 664 of 1024 points, so repeats force refills
+    st.tuples(st.integers(8, 12), st.integers(1, 3)).filter(
+        lambda c: num_support_points(*c) <= 1 << c[0]
+    ),
+    # byte and word boundaries of the row width
+    st.tuples(st.sampled_from([15, 16, 17, 31, 32, 33, 64, 65, 300]), st.integers(1, 3)),
+    # several blocks a support at n = 1200 (k = 3: 2,042 points)
+    st.tuples(st.just(1200), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_STREAM_CASES, seed=st.integers(0, 2**32 - 1), no=st.booleans())
+def test_generators_match_point_loop(case, seed, no):
+    n, k = case
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    inst = (gen_no if no else gen_yes)(n, k, rng)
+    J, pts, table, labels = _reference_gen(n, k, ref, no)
+    assert inst.J == J
+    assert [p.bits for p in inst.S] == pts
+    assert inst.junta_table == table
+    assert getattr(inst, "labels", None) == labels
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_generated_files_pinned(tmp_path):
+    # Both digests were taken with the point-at-a-time generators.
+    doc = instance_to_json(gen_no(1200, 6, np.random.default_rng(5000)))
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert _sha256(text) == "c25363f3d0db47083ac3478911deb6727c7e16d96690053eca24949118bb9852"
+    out = tmp_path / "hard.json"
+    assert main(["gen-no", "--n", "14", "--k", "2", "--seed", "1", "--out", str(out)]) == 0
+    assert _sha256(out.read_text()) == "1e276879e56538984d00cc5fa23118e2e21b6b095846e558731805a693308f2c"
