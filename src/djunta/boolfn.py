@@ -226,6 +226,14 @@ def hex_to_bits(text: str, nbits: int) -> int:
     return v
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of an input file, as given: a JSON float, string or
+    boolean is refused, not truncated or converted."""
+    if type(value) is not int:
+        raise ContractError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # bit strings
 
@@ -633,7 +641,7 @@ def verdict_from_json(doc: dict, n: int) -> Verdict:
         DistinguishingPair(
             BitString.from_hex(n, e["x"]),
             BitString.from_hex(n, e["y"]),
-            frozenset(int(c) for c in e["block"]),
+            frozenset(json_int(c, "block entry") for c in e["block"]),
         )
         for e in doc.get("witness", [])
     )
@@ -665,12 +673,12 @@ def oracle_to_json(f: FunctionOracle) -> dict:
 
 
 def oracle_from_json(doc: dict) -> FunctionOracle:
-    n = int(doc["n"])
+    n = json_int(doc["n"], "n")
     check_width(n)
     kind = doc["kind"]
     if kind == "truth_table":
         return FunctionOracle.from_truth_table(n, hex_to_bits(doc["table"], 1 << n))
     if kind == "junta":
-        vs = tuple(int(v) for v in doc["junta_vars"])
+        vs = tuple(json_int(v, "junta_vars entry") for v in doc["junta_vars"])
         return FunctionOracle.from_junta(n, vs, hex_to_bits(doc["table"], 1 << len(vs)))
     raise ContractError(f"unknown instance kind {kind!r}")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BitString, bits_to_hex, check_width, hex_to_bits, rand_bits
+from .boolfn import BitString, bits_to_hex, check_width, hex_to_bits, json_int, rand_bits
 from .errors import ContractError, DimensionError, EmptyDomainError
 
 _WEIGHT_TOL = 1e-9
@@ -32,14 +32,13 @@ class FiniteDistribution:
     KIND_CUBE = "uniform_cube"
     KIND_SUPPORT = "support"
 
-    __slots__ = ("n", "kind", "points", "weights", "_index", "_cum")
+    __slots__ = ("n", "kind", "points", "weights", "_cum")
 
-    def __init__(self, n, kind, points=None, weights=None, _index=None, _cum=None):
+    def __init__(self, n, kind, points=None, weights=None, _cum=None):
         self.n = n
         self.kind = kind
         self.points = points
         self.weights = weights
-        self._index = _index
         self._cum = _cum
 
     def __eq__(self, other):
@@ -71,30 +70,19 @@ class FiniteDistribution:
     def support(
         cls,
         n: int,
-        points: Sequence[BitString | int],
+        points: Sequence[int],
         weights: Sequence[float] | None = None,
     ) -> "FiniteDistribution":
         if n < 1:
             raise EmptyDomainError("need n >= 1")
         check_width(n)
-        pts = []
-        for p in points:
-            if isinstance(p, BitString):
-                if p.n != n:
-                    raise DimensionError(f"point has {p.n} coordinates, expected {n}")
-                pts.append(p.bits)
-            else:
-                p = int(p)
-                if not 0 <= p < (1 << n):
-                    raise DimensionError(f"point does not fit in {n} bits")
-                pts.append(p)
+        pts = tuple(map(int, points))
         if not pts:
             raise EmptyDomainError("support must be nonempty")
-        index = {}
-        for i, p in enumerate(pts):
-            if p in index:
-                raise ContractError("support points must be distinct")
-            index[p] = i
+        if min(pts) < 0 or max(pts) >> n:
+            raise DimensionError(f"point does not fit in {n} bits")
+        if len(set(pts)) != len(pts):
+            raise ContractError("support points must be distinct")
         ws = None
         cum = None
         if weights is not None:
@@ -107,7 +95,7 @@ class FiniteDistribution:
             if abs(total - 1.0) > _WEIGHT_TOL:
                 raise ContractError(f"weights must sum to 1, got {total!r}")
             cum = np.cumsum(np.asarray(ws, dtype=np.float64))
-        return cls(n, cls.KIND_SUPPORT, tuple(pts), ws, index, cum)
+        return cls(n, cls.KIND_SUPPORT, pts, ws, cum)
 
     # -- queries
 
@@ -127,12 +115,11 @@ class FiniteDistribution:
             raise DimensionError(f"point has {x.n} coordinates, expected {self.n}")
         if self.kind == self.KIND_CUBE:
             return Fraction(1, 1 << self.n)
-        i = self._index.get(xb)
-        if i is None:
+        if xb not in self.points:
             return Fraction(0) if self.weights is None else 0.0
         if self.weights is None:
             return Fraction(1, len(self.points))
-        return self.weights[i]
+        return self.weights[self.points.index(xb)]
 
     # -- sampling
 
@@ -163,7 +150,7 @@ class FiniteDistribution:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FiniteDistribution":
-        n = int(doc["n"])
+        n = json_int(doc["n"], "n")
         if doc["kind"] == cls.KIND_CUBE:
             return cls.uniform_cube(n)
         if doc["kind"] == cls.KIND_SUPPORT:

@@ -13,8 +13,9 @@ distance >= 1/3 from every k-junta under its own distribution, while
 distinguishing it from the easy family by queries stays hard because
 leaving a section unknowingly requires flipping many bits.
 
-Supports are kept as explicit point lists, and the hard function is
-evaluated lazily through a per-section index, so n in the hundreds is fine.
+An instance keeps its support once, as the point list `D.points` of its
+distribution, and the hard function is evaluated lazily through a
+per-section index, so n in the hundreds is fine.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from math import ceil, log
 import numpy as np
 
 from .boolfn import (
-    BitString,
     Block,
     FunctionOracle,
     QueryCounter,
@@ -36,6 +36,7 @@ from .boolfn import (
     gather_bits,
     gather_rows,
     hex_to_bits,
+    json_int,
     rand_bits,
     table_lookup,
 )
@@ -43,10 +44,10 @@ from .dist import FiniteDistribution
 from .errors import ContractError, DimensionError, SizeError
 
 
-#: Most support points a generator will draw.  A point costs 170-340
-#: bytes (n = 64 to 1200) across the instance and its distribution, so the
-#: cap keeps an instance under about 100 MiB; the largest size in use,
-#: 16,336 at n = 1200, k = 6, is far below it.  Checked before any draw.
+#: Most support points a generator will draw.  A point costs 130-200
+#: bytes (n = 64 to 1200) in an instance, so the cap keeps an instance
+#: under about 50 MiB; the largest size in use, 16,336 at n = 1200,
+#: k = 6, is far below it.  Checked before any draw.
 MAX_SUPPORT_POINTS = 1 << 18
 
 
@@ -123,7 +124,6 @@ class YesInstance:
     k: int
     J: Block
     junta_table: int
-    S: tuple[BitString, ...]
     D: FiniteDistribution
 
     def oracle(self) -> FunctionOracle:
@@ -134,15 +134,15 @@ class YesInstance:
 class NoInstance:
     """Coin-labeled support over the same (J, S) marginal as YesInstance.
 
-    `labels` is aligned with S; `junta_table` is the background junta used
-    off-support when no ball neighbor exists; `radius` the ball threshold.
+    The support S is `D.points`, and `labels` is aligned with it;
+    `junta_table` is the background junta used off-support when no ball
+    neighbor exists; `radius` the ball threshold.
     """
 
     n: int
     k: int
     J: Block
     junta_table: int
-    S: tuple[BitString, ...]
     labels: tuple[int, ...]
     radius: int
     D: FiniteDistribution
@@ -165,8 +165,7 @@ def gen_yes(n: int, k: int, rng) -> YesInstance:
     """Draw (J, S) and label everything by a fresh random junta over J."""
     J, pts = _draw_j_s(n, k, rng)
     table = rand_bits(rng, 1 << k)
-    S = tuple(BitString(n, b) for b in pts)
-    return YesInstance(n, k, J, table, S, FiniteDistribution.support(n, pts))
+    return YesInstance(n, k, J, table, FiniteDistribution.support(n, pts))
 
 
 def gen_no(n: int, k: int, rng) -> NoInstance:
@@ -179,10 +178,8 @@ def gen_no(n: int, k: int, rng) -> NoInstance:
     table = rand_bits(rng, 1 << k)
     m = len(pts)
     labels = _unpack_labels(rand_bits(rng, m), m)
-    S = tuple(BitString(n, b) for b in pts)
-    return NoInstance(
-        n, k, J, table, S, labels, neighbor_radius(n), FiniteDistribution.support(n, pts)
-    )
+    D = FiniteDistribution.support(n, pts)
+    return NoInstance(n, k, J, table, labels, neighbor_radius(n), D)
 
 
 class _HardLabelBackend:
@@ -200,17 +197,17 @@ class _HardLabelBackend:
         self.table = inst.junta_table
         self.jcoords = tuple(sorted(inst.J))
         self.radius = inst.radius
-        self.exact = {}
+        points = inst.D.points
+        self.exact = dict(zip(points, inst.labels))
         self.sections = {}
         nbytes = 8 * ((self.n + 63) >> 6)
         step = max(1, _BLOCK_BYTES // nbytes)
-        for a in range(0, len(inst.S), step):
-            pts = [p.bits for p in inst.S[a : a + step]]
+        for a in range(0, len(points), step):
+            pts = points[a : a + step]
             raw = b"".join(b.to_bytes(nbytes, "little") for b in pts)
             X = np.frombuffer(raw, dtype="<u8").reshape(len(pts), -1)
             keys = gather_rows(X, self.jcoords).tolist()
             for b, lab, key in zip(pts, inst.labels[a : a + step], keys):
-                self.exact[b] = lab
                 self.sections.setdefault(key, []).append((b, lab))
         self._matrices = None
 
@@ -297,10 +294,10 @@ def instance_to_json(inst: YesInstance | NoInstance) -> dict:
         "k": inst.k,
         "J": sorted(inst.J),
         "junta_table": bits_to_hex(inst.junta_table, 1 << inst.k),
-        "S": [bits_to_hex(p.bits, inst.n) for p in inst.S],
+        "S": [bits_to_hex(p, inst.n) for p in inst.D.points],
     }
     if isinstance(inst, NoInstance):
-        doc["labels"] = bits_to_hex(_pack_labels(inst.labels), len(inst.S))
+        doc["labels"] = bits_to_hex(_pack_labels(inst.labels), len(inst.labels))
         doc["radius"] = inst.radius
     return doc
 
@@ -310,24 +307,23 @@ def instance_from_json(doc: dict) -> YesInstance | NoInstance:
     kind = doc["kind"]
     if kind not in ("yes_instance", "no_instance"):
         raise ContractError(f"unknown instance kind {kind!r}")
-    n = int(doc["n"])
-    k = int(doc["k"])
+    n = json_int(doc["n"], "n")
+    k = json_int(doc["k"], "k")
     if "S" not in doc:
-        rng = np.random.default_rng(int(doc["seed"]))
+        rng = np.random.default_rng(json_int(doc["seed"], "seed"))
         return gen_yes(n, k, rng) if kind == "yes_instance" else gen_no(n, k, rng)
     _check_shape(n, k)
-    coords = [int(c) for c in doc["J"]]
+    coords = [json_int(c, "J entry") for c in doc["J"]]
     J = frozenset(coords)
     if len(coords) != k or len(J) != k or not all(1 <= c <= n for c in J):
         raise ContractError(f"J must list {k} distinct coordinates in 1..{n}")
     table = hex_to_bits(doc["junta_table"], 1 << k)
     pts = tuple(hex_to_bits(s, n) for s in doc["S"])
-    S = tuple(BitString(n, b) for b in pts)
     D = FiniteDistribution.support(n, pts)
     if kind == "yes_instance":
-        return YesInstance(n, k, J, table, S, D)
+        return YesInstance(n, k, J, table, D)
     labels = _unpack_labels(hex_to_bits(doc["labels"], len(pts)), len(pts))
-    radius = doc["radius"]
-    if type(radius) is not int or not 0 <= radius <= n:
-        raise ContractError(f"radius must be an integer in 0..{n}")
-    return NoInstance(n, k, J, table, S, labels, radius, D)
+    radius = json_int(doc["radius"], "radius")
+    if not 0 <= radius <= n:
+        raise ContractError(f"radius must be in 0..{n}")
+    return NoInstance(n, k, J, table, labels, radius, D)

@@ -218,6 +218,47 @@ class TestErrors:
             assert run("dist", "--k", 2, "--in", p) == 0
         capsys.readouterr()
 
+    def test_integer_fields(self, tmp_path, capsys):
+        # Integer fields must be JSON integers: 6.9 is not truncated to 6,
+        # "6" not parsed and true not read as 1.
+        f, g, w = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "w.json"
+        junta = {"kind": "junta", "n": 8, "junta_vars": [1], "table": "2"}  # x1
+        inst = instance_to_json(gen_no(14, 2, np.random.default_rng(1)))
+        seeded = {"kind": "no_instance", "n": 14, "k": 2, "seed": 1}
+        witness = {
+            "outcome": "reject", "queries": 2, "samples": 0,
+            "witness": [{"block": [1], "x": "00", "y": "01"}],
+        }
+        f.write_text(json.dumps(junta))
+        dist = ("dist", "--k", 2, "--in", g)
+        cases = (
+            (dist, junta, "n", lambda v: v),
+            (dist, junta, "junta_vars", lambda v: [v]),
+            (dist, inst, "n", lambda v: v),
+            (dist, inst, "k", lambda v: v),
+            (dist, inst, "J", lambda v: [v, inst["J"][1]]),
+            (dist, seeded, "n", lambda v: v),
+            (dist, seeded, "k", lambda v: v),
+            (dist, seeded, "seed", lambda v: v),
+            (("dist", "--k", 1, "--in", f, "--dist", g), {"kind": "uniform_cube", "n": 8}, "n", lambda v: v),
+        )
+        for argv, doc, field, put in cases:
+            g.write_text(json.dumps(doc))
+            assert run(*argv) == 0
+            for bad in (6.9, "6", True):
+                g.write_text(json.dumps(dict(doc, **{field: put(bad)})))
+                assert run(*argv) == 2, (field, bad)
+                err = capsys.readouterr().err
+                assert err.startswith("error: parse:") and err.count("\n") == 1
+        w.write_text(json.dumps(witness))
+        assert run("verify", "--in", f, "--witness", w) == 0
+        for bad in (6.9, "6", True, 1.5):
+            block = dict(witness["witness"][0], block=[bad])
+            w.write_text(json.dumps(dict(witness, witness=[block])))
+            assert run("verify", "--in", f, "--witness", w) == 2, bad
+            err = capsys.readouterr().err
+            assert err.startswith("error: parse:") and err.count("\n") == 1
+
     def test_support_size_cap(self, capsys):
         assert run("gen-no", "--n", 64, "--k", 20, "--seed", 0) == 4
         err = capsys.readouterr().err

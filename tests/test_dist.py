@@ -38,6 +38,8 @@ def test_support_validation():
         FiniteDistribution.support(3, (1, 1))
     with pytest.raises(DimensionError):
         FiniteDistribution.support(2, (5,))
+    with pytest.raises(DimensionError):
+        FiniteDistribution.support(2, (-1,))
     with pytest.raises(ContractError):
         FiniteDistribution.support(2, (0, 1), weights=(0.5,))
     with pytest.raises(ContractError):

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +47,7 @@ def test_shared_prefix_same_seed():
     y = gen_yes(14, 2, np.random.default_rng(123))
     n = gen_no(14, 2, np.random.default_rng(123))
     assert y.J == n.J
-    assert y.S == n.S
+    assert y.D.points == n.D.points
     assert y.junta_table == n.junta_table
 
 
@@ -53,18 +55,18 @@ def test_yes_instance_shape():
     inst = gen_yes(14, 2, np.random.default_rng(7))
     assert isinstance(inst, YesInstance)
     assert len(inst.J) == 2 and all(1 <= c <= 14 for c in inst.J)
-    assert len(inst.S) == 381
-    assert len({p.bits for p in inst.S}) == 381
-    assert all(p.n == 14 for p in inst.S)
+    assert len(inst.D.points) == 381
+    assert len(set(inst.D.points)) == 381
+    assert all(0 <= p < 1 << 14 for p in inst.D.points)
     assert inst.D.support_size() == 381
-    assert inst.D.mass(inst.S[0]) == Fraction(1, 381)
+    assert inst.D.mass(inst.D.points[0]) == Fraction(1, 381)
     assert is_kjunta(inst.oracle(), 2)
 
 
 def test_no_instance_shape():
     inst = gen_no(14, 2, np.random.default_rng(7))
     assert isinstance(inst, NoInstance)
-    assert len(inst.labels) == len(inst.S) == 381
+    assert len(inst.labels) == len(inst.D.points) == 381
     assert set(inst.labels) <= {0, 1}
     assert inst.radius == 5
 
@@ -73,16 +75,16 @@ def test_no_oracle_matches_reference_rule():
     inst = gen_no(10, 1, np.random.default_rng(5))
     f = inst.oracle()
     jc = sorted(inst.J)
-    by_bits = {p.bits: lab for p, lab in zip(inst.S, inst.labels)}
+    by_bits = dict(zip(inst.D.points, inst.labels))
     for x in range(1 << 10):
         if x in by_bits:
             want = by_bits[x]
         else:
             near = [
                 lab
-                for p, lab in zip(inst.S, inst.labels)
-                if gather_bits(p.bits, jc) == gather_bits(x, jc)
-                and bin(p.bits ^ x).count("1") <= inst.radius
+                for p, lab in zip(inst.D.points, inst.labels)
+                if gather_bits(p, jc) == gather_bits(x, jc)
+                and bin(p ^ x).count("1") <= inst.radius
             ]
             if near:
                 want = 1 if any(near) else 0
@@ -102,6 +104,24 @@ def test_no_oracle_counts_queries():
     g = inst.oracle()
     assert g.backend is f.backend
     assert g.counter.snapshot() == (0, 0)
+
+
+def test_gen_no_memory():
+    # An instance holds its support once, as D.points.  Retained by
+    # gen_no(1200, 6): 5.71 MiB with a BitString tuple S and a point index
+    # in the distribution beside D.points, 3.85 MiB without them; keeping
+    # either copy alone reads 4.62 or 4.74 MiB.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inst = gen_no(1200, 6, np.random.default_rng(5000))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(inst.D.points) == 16336
+    assert retained < 4.25 * 2**20
 
 
 def test_generation_validation():
@@ -205,7 +225,7 @@ def test_generators_match_point_loop(case, seed, no):
     inst = (gen_no if no else gen_yes)(n, k, rng)
     J, pts, table, labels = _reference_gen(n, k, ref, no)
     assert inst.J == J
-    assert [p.bits for p in inst.S] == pts
+    assert list(inst.D.points) == pts
     assert inst.junta_table == table
     assert getattr(inst, "labels", None) == labels
     assert rng.bit_generator.state == ref.bit_generator.state

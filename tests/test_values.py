@@ -88,8 +88,7 @@ def test_junta_collapsed_restriction_values():
 def _instance(n, k, S, labels, junta_table):
     D = FiniteDistribution.support(n, S)
     J = frozenset(range(1, k + 1))
-    S = tuple(BitString(n, b) for b in S)
-    return NoInstance(n, k, J, junta_table, S, tuple(labels), neighbor_radius(n), D)
+    return NoInstance(n, k, J, junta_table, tuple(labels), neighbor_radius(n), D)
 
 
 def test_hard_label_rule_cases():
@@ -120,7 +119,7 @@ def test_hard_label_values_n300_and_n64():
         inst = gen_no(n, k, rng)
         f = inst.oracle().backend
         radius = inst.radius
-        support = [p.bits for p in inst.S[:40]]
+        support = list(inst.D.points[:40])
         points = support + [rand_bits(rng, n) for _ in range(40)]
         points += [_near(rng, p, n, int(rng.integers(1, 2 * radius))) for p in support]
         # points nearer than the radius hit the ball rule; farther ones the background
