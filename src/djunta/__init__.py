@@ -69,11 +69,6 @@ from .tester import (
     simple_djunta,
     where_is_the_literal,
 )
-from .uniform import (
-    OneJuntaFit,
-    UniformTesterConfig,
-    literal_distance_uniform,
-    uniform_junta,
-)
+from .uniform import UniformTesterConfig, uniform_junta
 
 __version__ = "0.1.0"

@@ -332,6 +332,14 @@ def words_of(bits: int, nwords: int) -> np.ndarray:
     return np.frombuffer(bits.to_bytes(8 * nwords, "little"), dtype="<u8")
 
 
+def rows_of(points: Sequence[int], n: int) -> np.ndarray:
+    """Points of n bits as a word array, one row a point, as words_of
+    packs each."""
+    nwords = (n + 63) >> 6
+    raw = b"".join(p.to_bytes(8 * nwords, "little") for p in points)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(points), nwords)
+
+
 def int_of_words(row: np.ndarray) -> int:
     """Inverse of words_of for one row of a word array."""
     return int.from_bytes(row.tobytes(), "little")
@@ -637,6 +645,9 @@ def verdict_to_json(v: Verdict, n: int) -> dict:
 
 
 def verdict_from_json(doc: dict, n: int) -> Verdict:
+    outcome = doc["outcome"]
+    if outcome not in ("accept", "reject"):
+        raise ContractError(f"outcome must be 'accept' or 'reject', got {outcome!r}")
     witness = tuple(
         DistinguishingPair(
             BitString.from_hex(n, e["x"]),
@@ -645,7 +656,9 @@ def verdict_from_json(doc: dict, n: int) -> Verdict:
         )
         for e in doc.get("witness", [])
     )
-    return Verdict(doc["outcome"], witness, int(doc["queries"]), int(doc["samples"]))
+    return Verdict(
+        outcome, witness, json_int(doc["queries"], "queries"), json_int(doc["samples"], "samples")
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .boolfn import (
     hex_to_bits,
     json_int,
     rand_bits,
+    rows_of,
     table_lookup,
 )
 from .dist import FiniteDistribution
@@ -200,13 +201,10 @@ class _HardLabelBackend:
         points = inst.D.points
         self.exact = dict(zip(points, inst.labels))
         self.sections = {}
-        nbytes = 8 * ((self.n + 63) >> 6)
-        step = max(1, _BLOCK_BYTES // nbytes)
+        step = max(1, _BLOCK_BYTES // (8 * ((self.n + 63) >> 6)))
         for a in range(0, len(points), step):
             pts = points[a : a + step]
-            raw = b"".join(b.to_bytes(nbytes, "little") for b in pts)
-            X = np.frombuffer(raw, dtype="<u8").reshape(len(pts), -1)
-            keys = gather_rows(X, self.jcoords).tolist()
+            keys = gather_rows(rows_of(pts, self.n), self.jcoords).tolist()
             for b, lab, key in zip(pts, inst.labels[a : a + step], keys):
                 self.sections.setdefault(key, []).append((b, lab))
         self._matrices = None
@@ -232,11 +230,9 @@ class _HardLabelBackend:
         """Section key -> (its support points as a (ceil(n/64), size) word
         matrix, one column a point; their uint8 codes 2 + label)."""
         if self._matrices is None:
-            nbytes = 8 * ((self.n + 63) >> 6)
             self._matrices = {}
             for key, bucket in self.sections.items():
-                raw = b"".join(b.to_bytes(nbytes, "little") for b, _ in bucket)
-                pts = np.frombuffer(raw, dtype="<u8").reshape(len(bucket), -1)
+                pts = rows_of([b for b, _ in bucket], self.n)
                 codes = np.array([2 + lab for _, lab in bucket], dtype=np.uint8)
                 self._matrices[key] = (np.ascontiguousarray(pts.T), codes)
         return self._matrices

@@ -24,6 +24,7 @@ from .boolfn import (
     gather_bits,  # unused here; bench/tracing.py wraps djunta.oracle_bf:gather_bits
     mask_of,
     rand_bits,
+    rows_of,
 )
 from .dist import FiniteDistribution
 from .errors import BudgetError, ContractError, DimensionError
@@ -90,9 +91,7 @@ def exact_distance_to_kjuntas(
     if cube:
         words = np.arange(npts, dtype=np.uint64)[None, :]
     else:
-        nbytes = 8 * ((n + 63) >> 6)
-        raw = b"".join(p.to_bytes(nbytes, "little") for p in pts)
-        words = np.frombuffer(raw, dtype="<u8").reshape(npts, -1).T.copy()
+        words = rows_of(pts, n).T.copy()
     masses = None if D.is_uniform_support else np.asarray(D.weights, dtype=np.float64)
 
     tagged = np.empty(npts, dtype=np.int64)  # 2 * (bits on J) + label

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .boolfn import (
     BitFeed,
@@ -54,12 +55,18 @@ def _check_dims(f: FunctionOracle, D: FiniteDistribution) -> None:
 # side probing: which half of a block controls a near-literal restriction
 
 
-@dataclass(frozen=True)
-class WhereResult:
+class WhereResult(NamedTuple):
+    """A side probe's answer.  Unless it is "fail", g(x) = fx and
+    g(x ^ mask) = fy differ, and `mask` is the named side."""
+
     outcome: str  # "left", "right", or "fail"
-    pair: DistinguishingPair | None = None
+    x: int | None = None
+    mask: int | None = None
     fx: int | None = None
     fy: int | None = None
+
+
+_FAIL = WhereResult("fail")
 
 
 def _where(g: FunctionOracle, lmask: int, rmask: int, feed: BitFeed) -> WhereResult:
@@ -72,9 +79,8 @@ def _where(g: FunctionOracle, lmask: int, rmask: int, feed: BitFeed) -> WhereRes
             fa = g.eval_bits(a)
             fb = g.eval_bits(a ^ mask)
             if fa != fb:
-                pair = DistinguishingPair(BitString(n, a), BitString(n, a ^ mask), block_of(mask))
-                return WhereResult(side, pair, fa, fb)
-    return WhereResult("fail")
+                return WhereResult(side, a, mask, fa, fb)
+    return _FAIL
 
 
 def where_is_the_literal(
@@ -85,9 +91,11 @@ def where_is_the_literal(
     `left` and `right` must partition coordinates 1..g.n; either may be
     empty.  Makes at most 4 queries.  If g is gamma-close to a literal
     under the uniform distribution, the side containing that variable is
-    returned with probability at least 1 - 4*gamma; any returned pair is a
-    valid distinguishing pair for the named side.  "fail" is an ordinary
-    outcome (always, for instance, when g is constant).
+    returned with probability at least 1 - 4*gamma.  Any other outcome
+    than "fail" comes with a point x and the named side's mask, with
+    g(x) = fx != fy = g(x ^ mask): a distinguishing pair for that side.
+    "fail" is an ordinary outcome (always, for instance, when g is
+    constant).
     """
     lmask = mask_of(left, g.n)
     rmask = mask_of(right, g.n)
@@ -102,17 +110,16 @@ def where_is_the_literal(
 # literal check: is a block's restriction essentially one variable?
 
 
-@dataclass(frozen=True)
-class SplitPart:
-    """Half of a failed literal check: a sub-block with its own pair."""
+class SplitPart(NamedTuple):
+    """Half of a failed literal check, as points and a mask of g's domain:
+    x and y differ only inside `mask`, and g(x) != g(y).  fx and fy are
+    those values when the split queried them, None when it did not."""
 
-    pair: DistinguishingPair
+    x: int
+    y: int
+    mask: int
     fx: int | None = None
     fy: int | None = None
-
-    @property
-    def block(self) -> Block:
-        return self.pair.block
 
 
 @dataclass(frozen=True)
@@ -138,8 +145,9 @@ def _literal(
     for _ in range(cfg.literal_passes):
         verdict = uniform_junta(g, inner, feed)
         if verdict.is_reject:
-            p0, p1 = verdict.witness
-            return LiteralResult(False, (SplitPart(p0), SplitPart(p1)))
+            return LiteralResult(
+                False, tuple(SplitPart(p.x.bits, p.y.bits, mask_of(p.block)) for p in verdict.witness)
+            )
     if labels is None:
         fx = g.eval_bits(xb)
         fy = g.eval_bits(yb)
@@ -158,13 +166,8 @@ def _literal(
         ]
         for b, fb, v1, v2 in ends:
             if v1 == v2 != fb:
-                bs = BitString(n, b)
                 return LiteralResult(
-                    False,
-                    tuple(
-                        SplitPart(DistinguishingPair(bs, BitString(n, b ^ c), block_of(c)), fb, v)
-                        for c, v in ((c1, v1), (c2, v2))
-                    ),
+                    False, (SplitPart(b, b ^ c1, c1, fb, v1), SplitPart(b, b ^ c2, c2, fb, v2))
                 )
     return LiteralResult(True)
 
@@ -180,9 +183,10 @@ def literal(
     split.  Then ceil(log2 k)+3 random halvings of the domain look for a
     point whose value flips under both halves but not under the whole,
     which is impossible for a literal but likely for a near-constant.
-    Survives both phases: answer True.  Split parts always carry valid
-    pairs, so a True verdict is the only unverified claim.  Both counts
-    come from cfg (literal_passes, literal_halvings).
+    Survives both phases: answer True.  Split parts are SplitPart points
+    and masks on g's domain and always form valid pairs, so a True verdict
+    is the only unverified claim.  Both counts come from cfg
+    (literal_passes, literal_halvings).
     """
     if pair.x.n != g.n or pair.y.n != g.n:
         raise DimensionError(f"pair must live on {g.n} coordinates")
@@ -272,31 +276,15 @@ def _make_entry(f: FunctionOracle, full: int, mask: int, xb, yb, fx, fy) -> _Ent
 
 
 def _embed_entry(
-    f: FunctionOracle,
-    full: int,
-    parent: _Entry,
-    pos_pair: DistinguishingPair,
-    fx,
-    fy,
+    f: FunctionOracle, full: int, parent: _Entry, x: int, y: int, mask: int, fx, fy
 ) -> _Entry:
     """Lift a pair found on a parent block's restriction to full length."""
     ctx = parent.xb & (full ^ parent.mask)
-    cmask = scatter_bits(mask_of(pos_pair.block), parent.coords)
-    xb = ctx | scatter_bits(pos_pair.x.bits, parent.coords)
-    yb = ctx | scatter_bits(pos_pair.y.bits, parent.coords)
-    return _make_entry(f, full, cmask, xb, yb, fx, fy)
-
-
-def _assert_good(f: FunctionOracle, V, U, full: int) -> None:
-    # Debug-only structural invariants: disjoint nonempty blocks, every
-    # stored pair still distinguishes (checked via uncounted peeks).
-    seen = 0
-    for e in chain(V, U):
-        assert e.mask != 0
-        assert e.mask & seen == 0
-        seen |= e.mask
-        assert (e.xb ^ e.yb) & (full ^ e.mask) == 0
-        assert f.peek_bits(e.xb) != f.peek_bits(e.yb)
+    coords = parent.coords
+    return _make_entry(
+        f, full, scatter_bits(mask, coords),
+        ctx | scatter_bits(x, coords), ctx | scatter_bits(y, coords), fx, fy,
+    )
 
 
 def main_djunta(
@@ -331,7 +319,6 @@ def main_djunta(
     U: deque[_Entry] = deque()
     r1 = cfg.search_rounds
     r2 = cfg.verify_rounds
-    potential = 0
 
     while r1 > 0 and r2 > 0:
         if not U:
@@ -347,10 +334,8 @@ def main_djunta(
                 if res.outcome == "fail":
                     failed = True
                     break
-                if res.outcome == "left":
-                    smask, tmask = pmask, qmask
-                else:
-                    smask, tmask = qmask, pmask
+                # Flip the half judged free of the controlling variable.
+                tmask = qmask if res.outcome == "left" else pmask
                 sides.append((e, tmask, res))
             if not failed:
                 vmask = 0
@@ -391,8 +376,8 @@ def main_djunta(
                                 )
                             )
                         else:
-                            e, _tmask, wres = sides[o]
-                            U.append(_embed_entry(f, full, e, wres.pair, wres.fx, wres.fy))
+                            e, _tmask, w = sides[o]
+                            U.append(_embed_entry(f, full, e, w.x, w.x ^ w.mask, w.mask, w.fx, w.fy))
                             U.append(
                                 _make_entry(
                                     f, full, tcoord[o],
@@ -415,14 +400,8 @@ def main_djunta(
             if res.is_literal:
                 V.append(e)
             else:
-                p0, p1 = res.parts
-                U.append(_embed_entry(f, full, e, p0.pair, p0.fx, p0.fy))
-                U.append(_embed_entry(f, full, e, p1.pair, p1.fx, p1.fy))
-        if cfg.debug:
-            _assert_good(f, V, U, full)
-            now = 3 * len(V) + 2 * len(U)
-            assert now >= potential
-            potential = now
+                for part in res.parts:
+                    U.append(_embed_entry(f, full, e, *part))
         if len(V) + len(U) >= cfg.k + 1:
             witness = tuple(
                 DistinguishingPair(BitString(n, e.xb), BitString(n, e.yb), block_of(e.mask))

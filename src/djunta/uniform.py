@@ -29,17 +29,16 @@ from .boolfn import (
     Verdict,
     block_of,
     ceil_log2,
-    full_truth_table,
     int_of_words,
     words_of,
 )
-from .errors import BudgetError, ContractError, SizeError
+from .errors import BudgetError, ContractError
 from .search import block_binary_search
 
 
 @dataclass(frozen=True)
 class DFTesterConfig:
-    """Settings of all three testers: k, epsilon and debug.
+    """Settings of all three testers: k and epsilon.
 
     Every budget is derived from k and epsilon at construction and is
     read-only.  Round counts are computed on the exact rational value of
@@ -60,7 +59,6 @@ class DFTesterConfig:
 
     k: int
     epsilon: float
-    debug: bool = False
     num_blocks: int = field(init=False)
     rounds: int = field(init=False)
     simple_rounds: int = field(init=False)
@@ -274,51 +272,3 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
             if len(found) > cfg.k:
                 return close_run(f, start, cfg.query_ceiling(), "uniform_junta", tuple(found))
     return close_run(f, start, cfg.query_ceiling(), "uniform_junta")
-
-
-@dataclass(frozen=True)
-class OneJuntaFit:
-    """Exhaustive uniform-distance fit of a small function to one variable.
-
-    `literal` is (coordinate, polarity) with polarity 1 for the plain
-    variable and 0 for its negation; `junta` adds the two constants to the
-    candidate set and is ("const", b) or ("literal", i, polarity).
-    """
-
-    literal_distance: Fraction
-    literal: tuple[int, int]
-    junta_distance: Fraction
-    junta: tuple
-
-
-def literal_distance_uniform(f: FunctionOracle) -> OneJuntaFit:
-    """Exact uniform distance from f to the nearest literal and 1-junta.
-
-    Enumerates the whole domain (capped at 2**20 points), so it never
-    touches f's query counter; meant for verification, not testing.
-    """
-    if f.n > 20:
-        raise SizeError(f"exhaustive 1-junta fit capped at n = 20, got {f.n}")
-    size = 1 << f.n
-    raw = full_truth_table(f).to_bytes((size + 7) // 8, "little")
-    vals = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
-    points = np.arange(size, dtype=np.uint32)
-
-    ones = int(np.count_nonzero(vals))
-    best_lit = None
-    for i in range(1, f.n + 1):
-        xi = (points >> np.uint32(i - 1)) & np.uint32(1)
-        mism = int(np.count_nonzero(vals != xi))
-        for pol, cnt in ((1, mism), (0, size - mism)):
-            d = Fraction(cnt, size)
-            cand = (d, (i, pol))
-            if best_lit is None or cand < best_lit:
-                best_lit = cand
-    lit_d, lit = best_lit
-
-    best_j = min(
-        (Fraction(ones, size), ("const", 0)),
-        (Fraction(size - ones, size), ("const", 1)),
-        (lit_d, ("literal",) + lit),
-    )
-    return OneJuntaFit(lit_d, lit, best_j[0], best_j[1])

@@ -25,7 +25,7 @@ from djunta import (
     verdict_from_json,
     verdict_to_json,
 )
-from djunta.boolfn import MAX_WIDTH
+from djunta.boolfn import MAX_WIDTH, int_of_words, rows_of, words_of
 from djunta.errors import (
     ContractError,
     DimensionError,
@@ -59,6 +59,17 @@ def test_gather_scatter_inverse(data):
     coords = sorted(data.draw(st.sets(st.integers(1, 40), max_size=12)))
     bits = data.draw(st.integers(0, (1 << len(coords)) - 1))
     assert gather_bits(scatter_bits(bits, coords), coords) == bits
+
+
+@given(st.integers(1, 200), st.data())
+def test_rows_of_packs_like_words_of(n, data):
+    pts = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=5))
+    X = rows_of(pts, n)
+    nwords = (n + 63) >> 6
+    assert X.shape == (len(pts), nwords)
+    for p, row in zip(pts, X):
+        assert row.tobytes() == words_of(p, nwords).tobytes()
+        assert int_of_words(row) == p
 
 
 def test_gather_bits_example():

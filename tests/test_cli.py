@@ -259,6 +259,24 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: parse:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "field, bad", [("queries", 1.5), ("samples", True), ("outcome", "banana")]
+    )
+    def test_mistyped_verdict_field(self, tmp_path, capsys, field, bad):
+        f, w = tmp_path / "f.json", tmp_path / "w.json"
+        f.write_text(json.dumps({"kind": "junta", "n": 8, "junta_vars": [1], "table": "2"}))
+        witness = {
+            "outcome": "reject", "queries": 2, "samples": 0,
+            "witness": [{"block": [1], "x": "00", "y": "01"}],
+        }
+        w.write_text(json.dumps(witness))
+        assert run("verify", "--in", f, "--witness", w) == 0
+        capsys.readouterr()
+        w.write_text(json.dumps(dict(witness, **{field: bad})))
+        assert run("verify", "--in", f, "--witness", w) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: parse:") and err.count("\n") == 1
+
     def test_support_size_cap(self, capsys):
         assert run("gen-no", "--n", 64, "--k", 20, "--seed", 0) == 4
         err = capsys.readouterr().err

@@ -100,22 +100,22 @@ class TestWhere:
         res = where_is_the_literal(g, frozenset({1, 2}), frozenset({3, 4}), np.random.default_rng(0))
         assert res.outcome == "left"
         assert g.counter.snapshot() == (2, 0)
-        d = res.pair.x.bits ^ res.pair.y.bits
-        assert d and d & ~0b0011 == 0
-        assert g.peek(res.pair.x) != g.peek(res.pair.y)
+        assert res.mask and res.mask & ~0b0011 == 0
+        assert res.fx == g.peek_bits(res.x) != g.peek_bits(res.x ^ res.mask) == res.fy
 
     def test_literal_on_right(self):
         g = FunctionOracle.from_junta(4, (4,), 0b01)
         res = where_is_the_literal(g, frozenset({1, 2}), frozenset({3, 4}), np.random.default_rng(0))
         assert res.outcome == "right"
         assert g.counter.snapshot() == (4, 0)
-        assert (res.pair.x.bits ^ res.pair.y.bits) & ~0b1100 == 0
+        assert res.mask and res.mask & ~0b1100 == 0
+        assert res.fx == g.peek_bits(res.x) != g.peek_bits(res.x ^ res.mask) == res.fy
 
     def test_constant_fails(self):
         g = FunctionOracle.from_truth_table(3, 0)
         res = where_is_the_literal(g, frozenset({1}), frozenset({2, 3}), np.random.default_rng(1))
         assert res.outcome == "fail"
-        assert res.pair is None
+        assert res.x is None and res.mask is None
 
     def test_empty_side_skipped(self):
         g = FunctionOracle.from_junta(3, (3,), 0b10)
@@ -161,15 +161,12 @@ class TestLiteral:
         res = literal(g, pair, cfg, np.random.default_rng(1))
         assert not res.is_literal
         a, b = res.parts
-        assert a.block and b.block
-        assert not a.block & b.block
+        assert a.mask and b.mask
+        assert not a.mask & b.mask
         for part in (a, b):
-            d = part.pair.x.bits ^ part.pair.y.bits
-            assert d
-            for c in range(1, 3):
-                if d >> (c - 1) & 1:
-                    assert c in part.block
-            assert g.peek(part.pair.x) != g.peek(part.pair.y)
+            d = part.x ^ part.y
+            assert d and d & ~part.mask == 0
+            assert g.peek_bits(part.x) != g.peek_bits(part.y)
 
     def test_halving_splits_at_a_rare_point(self):
         # One 1 among 2**14 points: the uniform passes find nothing, and then
@@ -185,9 +182,11 @@ class TestLiteral:
             assert not res.is_literal
             # a halving round queries both endpoints' four points before judging
             assert h.counter.snapshot() == (7179, 0)
+            masks = [part.mask for part in res.parts]
+            assert masks[0] ^ masks[1] == (1 << n) - 1  # the two halves of one split
             for part in res.parts:
-                assert part.pair.x.bits == rare and (part.fx, part.fy) == (1, 0)
-                assert h.peek(part.pair.x) != h.peek(part.pair.y)
+                assert part.x == rare and part.x ^ part.y == part.mask
+                assert (part.fx, part.fy) == (1, 0) == (h.peek_bits(part.x), h.peek_bits(part.y))
 
     def test_singleton_domain_trivially_true(self):
         cfg = DFTesterConfig(k=2, epsilon=0.5)
@@ -295,14 +294,6 @@ class TestMain:
                 assert len(v.witness) >= k + 1
                 assert verify_witness(g, v.witness)
         assert rejections >= 13
-
-    def test_debug_asserts_clean(self):
-        # the potential/goodness invariants hold along honest runs
-        cfg = DFTesterConfig(k=2, epsilon=0.25, debug=True)
-        f = FunctionOracle.from_junta(12, (1, 6, 11), _parity(3))
-        D = FiniteDistribution.uniform_cube(12)
-        for s in range(5):
-            main_djunta(f.fork(), D, cfg, np.random.default_rng(s))
 
     def test_budget_accounting(self):
         cfg = DFTesterConfig(k=2, epsilon=0.5)

@@ -10,14 +10,13 @@ from djunta import (
     UniformTesterConfig,
     ceil_log2,
     gen_no,
-    literal_distance_uniform,
     rand_bits,
     uniform_junta,
     verify_witness,
 )
 from djunta import uniform as uniform_module
 from djunta.boolfn import JuntaBackend, RestrictionBackend, TruthTableBackend
-from djunta.errors import ContractError, SizeError
+from djunta.errors import ContractError
 from djunta.lbgen import _HardLabelBackend
 
 
@@ -103,55 +102,6 @@ def test_seeded_run_deterministic():
     a = uniform_junta(f.fork(), cfg, np.random.default_rng(21))
     b = uniform_junta(f.fork(), cfg, np.random.default_rng(21))
     assert a == b
-
-
-# ---------------------------------------------------------------------------
-# exhaustive one-variable fits
-
-
-def _maj3():
-    return FunctionOracle.from_truth_table(3, sum((1 if bin(z).count("1") >= 2 else 0) << z for z in range(8)))
-
-
-def test_fit_majority():
-    fit = literal_distance_uniform(_maj3())
-    assert fit.literal_distance == Fraction(1, 4)
-    assert fit.junta_distance == Fraction(1, 4)
-
-
-def test_fit_parity_two():
-    f = FunctionOracle.from_truth_table(2, _parity(2))
-    fit = literal_distance_uniform(f)
-    assert fit.literal_distance == Fraction(1, 2)
-    assert fit.junta_distance == Fraction(1, 2)
-
-
-def test_fit_and_two():
-    f = FunctionOracle.from_truth_table(2, 0b1000)
-    fit = literal_distance_uniform(f)
-    assert fit.literal_distance == Fraction(1, 4)
-    assert fit.junta_distance == Fraction(1, 4)
-
-
-def test_fit_constant():
-    f = FunctionOracle.from_truth_table(3, 0xFF)
-    fit = literal_distance_uniform(f)
-    assert fit.literal_distance == Fraction(1, 2)
-    assert fit.junta_distance == Fraction(0)
-    assert fit.junta == ("const", 1)
-
-
-def test_fit_exact_literal():
-    f = FunctionOracle.from_junta(5, (4,), 0b10)
-    fit = literal_distance_uniform(f)
-    assert fit.literal_distance == Fraction(0)
-    assert fit.literal == (4, 1)
-
-
-def test_fit_size_guard():
-    f = FunctionOracle.from_junta(21, (1,), 0b10)
-    with pytest.raises(SizeError):
-        literal_distance_uniform(f)
 
 
 # ---------------------------------------------------------------------------
