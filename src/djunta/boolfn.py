@@ -340,11 +340,6 @@ def rows_of(points: Sequence[int], n: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u8").reshape(len(points), nwords)
 
 
-def int_of_words(row: np.ndarray) -> int:
-    """Inverse of words_of for one row of a word array."""
-    return int.from_bytes(row.tobytes(), "little")
-
-
 def gather_rows(X: np.ndarray, coords: Sequence[int]) -> np.ndarray:
     """gather_bits applied to every row of a word array, as uint64."""
     c = np.asarray(coords, dtype=np.int64) - 1

@@ -188,8 +188,10 @@ def _cmd_verify(args) -> int:
     # A rejection of "f is a k-junta" needs k+1 blocks; without k, one.
     need = 1 if k is None else k + 1
     blocks = len(verdict.witness)
-    ok = blocks >= need and verify_witness(f, verdict.witness)
+    ok = verdict.is_reject and blocks >= need and verify_witness(f, verdict.witness)
     _emit(_dump({"kind": "verify_report", "ok": ok, "blocks": blocks}), args.out)
+    if not verdict.is_reject:
+        raise _CliError("witness", "an accepting verdict certifies nothing", status=1)
     if blocks < need:
         raise _CliError("witness", f"witness has {blocks} blocks, need at least {need}", status=1)
     if not ok:

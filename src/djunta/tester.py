@@ -322,70 +322,45 @@ def main_djunta(
 
     while r1 > 0 and r2 > 0:
         if not U:
-            # Search round: try to grow the pool by one block.
+            # Search round: try to grow the pool by one block.  Candidates
+            # are (flip mask, (entry, side probe) or None) in search order.
             r1 -= 1
-            sides = []
-            failed = False
+            cands = []
             for e in V:
                 bsz = len(e.coords)
                 pmask = feed.take(bsz)
                 qmask = pmask ^ ((1 << bsz) - 1)
                 res = _where(e.view, pmask, qmask, feed)
                 if res.outcome == "fail":
-                    failed = True
                     break
                 # Flip the half judged free of the controlling variable.
                 tmask = qmask if res.outcome == "left" else pmask
-                sides.append((e, tmask, res))
-            if not failed:
+                cands.append((scatter_bits(tmask, e.coords), (e, res)))
+            else:
                 vmask = 0
                 for e in V:
                     vmask |= e.mask
                 xb = D.sample_bits(raw)
                 fx = f.sample_eval_bits(xb)
-                tfull = feed.take(n) & (full ^ vmask)
-                rmask = tfull
-                tcoord = []
-                for e, tmask, _res in sides:
-                    tc = scatter_bits(tmask, e.coords)
-                    tcoord.append(tc)
-                    rmask |= tc
-                if rmask:
-                    yb = xb ^ rmask
-                    fy = f.eval_bits(yb)
-                    if fx != fy:
-                        blocks = []
-                        origin = []
-                        if tfull:
-                            blocks.append(block_of(tfull))
-                            origin.append(-1)
-                        for idx, tc in enumerate(tcoord):
-                            if tc:
-                                blocks.append(block_of(tc))
-                                origin.append(idx)
-                        res = block_binary_search(
-                            f, BitString(n, xb), BitString(n, yb), blocks, fx=fx
-                        )
-                        o = origin[res.index]
-                        if o < 0:
-                            U.append(
-                                _make_entry(
-                                    f, full, tfull,
-                                    res.pair.x.bits, res.pair.y.bits,
-                                    res.fx, res.fy,
-                                )
-                            )
-                        else:
-                            e, _tmask, w = sides[o]
-                            U.append(_embed_entry(f, full, e, w.x, w.x ^ w.mask, w.mask, w.fx, w.fy))
-                            U.append(
-                                _make_entry(
-                                    f, full, tcoord[o],
-                                    res.pair.x.bits, res.pair.y.bits,
-                                    res.fx, res.fy,
-                                )
-                            )
-                            V.remove(e)
+                cands = [c for c in [(feed.take(n) & (full ^ vmask), None), *cands] if c[0]]
+                rmask = 0
+                for m, _ in cands:
+                    rmask |= m
+                yb = xb ^ rmask
+                if rmask and f.eval_bits(yb) != fx:
+                    res = block_binary_search(
+                        f, BitString(n, xb), BitString(n, yb),
+                        [block_of(m) for m, _ in cands], fx=fx,
+                    )
+                    mask, side = cands[res.index]
+                    if side is not None:
+                        # A vetted block's free half is relevant: dissolve it.
+                        e, w = side
+                        U.append(_embed_entry(f, full, e, w.x, w.x ^ w.mask, w.mask, w.fx, w.fy))
+                        V.remove(e)
+                    U.append(_make_entry(
+                        f, full, mask, res.pair.x.bits, res.pair.y.bits, res.fx, res.fy
+                    ))
         else:
             # Verify round: settle the oldest doubtful block.
             r2 -= 1

@@ -29,7 +29,6 @@ from .boolfn import (
     Verdict,
     block_of,
     ceil_log2,
-    int_of_words,
     words_of,
 )
 from .errors import BudgetError, ContractError
@@ -53,8 +52,6 @@ class DFTesterConfig:
       settled.  Its `literal` check runs the arity-1 uniform tester
       literal_passes = ceil(log2 k)+6 times, then tries
       literal_halvings = ceil(log2 k)+3 random halvings.
-
-    `debug` makes main_djunta assert its pool invariants after every round.
     """
 
     k: int
@@ -142,10 +139,11 @@ def close_run(
 
 #: Each call runs its first _SCALAR_ROUNDS rounds through the scalar
 #: `value`, then batches.  A batch pays a fixed numpy overhead and
-#: evaluates rounds past the one that stops the call, and most rejecting
+#: evaluates rounds past the first disagreeing one, and most rejecting
 #: calls stop inside the scalar rounds.
 _SCALAR_ROUNDS = 32
-#: Rounds in the first batch; each later batch doubles, up to the cap.
+#: Rounds in the first batch; each later batch doubles, up to the cap,
+#: whether or not the one before was cut short by a disagreement.
 _FIRST_BATCH = 64
 _MAX_BATCH = 256
 
@@ -161,12 +159,14 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
     randomness.
 
     A round draws x and a flip set, n bits each, from the feed and costs
-    two queries when the flip set is nonempty.  The first rounds go one at
-    a time through the backend's `value`; later ones go in batches through
-    its `values`, never more than the feed has buffered.  A batch evaluates
-    rounds past the one that stops the run, charges none of them, and hands
-    their bits back to the feed, so verdicts, counts and the feed's stream
-    come out exactly as in a round-by-round run.
+    two queries when the flip set is nonempty.  Every round that finds a
+    disagreement runs one at a time through the backend's `value`, and
+    every split happens there.  After the first rounds, a batch reads the
+    feed's buffered rounds ahead and evaluates them through `values`; it
+    only fast-forwards: it charges and skips the quiet rounds before the
+    first disagreeing one, and leaves that round in the feed for `value`.
+    So verdicts, counts and the feed's stream come out exactly as in a
+    round-by-round run.
     """
     n = f.n
     feed = BitFeed.of(rng)
@@ -186,60 +186,9 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
     found: list[DistinguishingPair] = []
     relevant_union = 0
     backend = f.backend
+    value = backend.value
     counter = f.counter
     nwords = (n + 63) >> 6
-
-    def split(xb: int, yb: int, fx: int) -> int:
-        """Pin one relevant block behind a disagreeing round; return its mask."""
-        nonlocal open_union, relevant_union
-        rmask = xb ^ yb
-        assert rmask & relevant_union == 0
-        probe_blocks = []
-        probe_at = []
-        for t, m in enumerate(open_masks):
-            mm = m & rmask
-            if mm:
-                probe_blocks.append(block_of(mm))
-                probe_at.append(t)
-        res = block_binary_search(
-            f, BitString(n, xb), BitString(n, yb), probe_blocks, fx=fx
-        )
-        full = open_masks.pop(probe_at[res.index])
-        open_union ^= full
-        relevant_union |= full
-        found.append(DistinguishingPair(res.pair.x, res.pair.y, block_of(full)))
-        return full
-
-    def batch_rounds(xs: np.ndarray, flips: np.ndarray) -> int:
-        """Run the rounds (x, flip set) row by row; return how many ran."""
-        R = flips & words_of(open_union, nwords)
-        Y = xs ^ R
-        live = R.any(axis=1)
-        fx = backend.values(xs)
-        fy = backend.values(Y)
-        hit = live & (fx != fy)
-        j = 0
-        while True:
-            ahead = np.flatnonzero(hit[j:])
-            if len(ahead) == 0:
-                counter.queries += 2 * int(np.count_nonzero(live[j:]))
-                return len(xs)
-            h = j + int(ahead[0])
-            counter.queries += 2 * int(np.count_nonzero(live[j : h + 1]))
-            gone = words_of(split(int_of_words(xs[h]), int_of_words(Y[h]), int(fx[h])), nwords)
-            j = h + 1
-            if len(found) > cfg.k or open_union == 0:
-                return j
-            # Later rounds that flipped the block just found now flip less.
-            moved = j + np.flatnonzero((R[j:] & gone).any(axis=1))
-            if len(moved):
-                R[moved] &= ~gone
-                Y[moved] = xs[moved] ^ R[moved]
-                live[moved] = R[moved].any(axis=1)
-                fy[moved] = backend.values(Y[moved])
-                hit[moved] = live[moved] & (fx[moved] != fy[moved])
-
-    value = backend.value
     done = 0
     batch = _FIRST_BATCH
     # Once open_union is 0, everything sits in relevant blocks: y would
@@ -249,15 +198,20 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
             block = feed.peek_block(n, 2 * min(batch, cfg.rounds - done))
             rows = len(block) // 2
             if rows:
-                used = batch_rounds(block[0 : 2 * rows : 2], block[1 : 2 * rows : 2])
-                feed.skip(2 * n * used)
-                done += used
+                xs = block[0 : 2 * rows : 2]
+                R = block[1 : 2 * rows : 2] & words_of(open_union, nwords)
+                live = R.any(axis=1)
+                hit = np.flatnonzero(live & (backend.values(xs) != backend.values(xs ^ R)))
+                quiet = int(hit[0]) if len(hit) else rows
+                counter.queries += 2 * int(np.count_nonzero(live[:quiet]))
+                feed.skip(2 * n * quiet)
+                done += quiet
                 batch = min(2 * batch, _MAX_BATCH)
-                if len(found) > cfg.k:
-                    return close_run(f, start, cfg.query_ceiling(), "uniform_junta", tuple(found))
-                continue
-            # The buffer ends inside this round: it pulls the next chunk
-            # from the generator, one round at a time as always.
+                if quiet == rows:
+                    continue
+            # The next round disagrees, or the buffer ends inside it and
+            # it pulls the next chunk from the generator: either way it
+            # runs below, one round at a time.
         done += 1
         xb = feed.take(n)
         rmask = feed.take(n) & open_union
@@ -267,8 +221,22 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
         fx = value(xb)
         fy = value(yb)
         counter.queries += 2
-        if fx != fy:
-            split(xb, yb, fx)
-            if len(found) > cfg.k:
-                return close_run(f, start, cfg.query_ceiling(), "uniform_junta", tuple(found))
+        if fx == fy:
+            continue
+        # Pin one relevant block behind the disagreement.
+        assert rmask & relevant_union == 0
+        probe_at = [t for t, m in enumerate(open_masks) if m & rmask]
+        res = block_binary_search(
+            f,
+            BitString(n, xb),
+            BitString(n, yb),
+            [block_of(open_masks[t] & rmask) for t in probe_at],
+            fx=fx,
+        )
+        full = open_masks.pop(probe_at[res.index])
+        open_union ^= full
+        relevant_union |= full
+        found.append(DistinguishingPair(res.pair.x, res.pair.y, block_of(full)))
+        if len(found) > cfg.k:
+            return close_run(f, start, cfg.query_ceiling(), "uniform_junta", tuple(found))
     return close_run(f, start, cfg.query_ceiling(), "uniform_junta")

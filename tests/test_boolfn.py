@@ -25,7 +25,7 @@ from djunta import (
     verdict_from_json,
     verdict_to_json,
 )
-from djunta.boolfn import MAX_WIDTH, int_of_words, rows_of, words_of
+from djunta.boolfn import MAX_WIDTH, rows_of, words_of
 from djunta.errors import (
     ContractError,
     DimensionError,
@@ -69,7 +69,7 @@ def test_rows_of_packs_like_words_of(n, data):
     assert X.shape == (len(pts), nwords)
     for p, row in zip(pts, X):
         assert row.tobytes() == words_of(p, nwords).tobytes()
-        assert int_of_words(row) == p
+        assert int.from_bytes(row.tobytes(), "little") == p
 
 
 def test_gather_bits_example():

@@ -91,6 +91,26 @@ def test_verify_refuses_short_witness(tmp_path, capsys, case):
     assert json.loads(out.read_text())["ok"] is False
 
 
+@pytest.mark.parametrize("outcome, code", [("accept", 1), ("reject", 0)])
+def test_verify_reads_outcome(tmp_path, capsys, outcome, code):
+    """An accepting verdict certifies nothing, even when its one block
+    would check out as a rejection of "f is a 0-junta"."""
+    f, w, out = tmp_path / "f.json", tmp_path / "w.json", tmp_path / "r.json"
+    f.write_text(json.dumps({"kind": "junta", "n": 8, "junta_vars": [1], "table": "2"}))
+    w.write_text(json.dumps({
+        "outcome": outcome, "queries": 2, "samples": 0,
+        "witness": [{"block": [1], "x": "00", "y": "01"}],
+    }))
+    capsys.readouterr()
+    assert run("verify", "--in", f, "--witness", w, "--out", out) == code
+    assert json.loads(out.read_text())["ok"] is (code == 0)
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: witness:") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
 def test_dist_on_instance(tmp_path):
     g = tmp_path / "g.json"
     run("gen-no", "--n", 14, "--k", 2, "--seed", 1, "--out", g)
