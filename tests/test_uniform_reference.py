@@ -51,10 +51,6 @@ CHUNK_BITS = 64 * BitFeed._CHUNK_WORDS
 # the reference
 
 
-def _mask(coords) -> int:
-    return sum(1 << (c - 1) for c in coords)
-
-
 def reference_uniform_junta(f: FunctionOracle, cfg: UniformTesterConfig, rng):
     n = f.n
     feed = BitFeed.of(rng)
@@ -80,7 +76,7 @@ def reference_uniform_junta(f: FunctionOracle, cfg: UniformTesterConfig, rng):
         flipped = {c for b in open_blocks for c in b if z >> (c - 1) & 1}
         if not flipped:
             continue
-        y = x ^ _mask(flipped)
+        y = x ^ sum(1 << (c - 1) for c in flipped)
         fx = f.eval_bits(x)
         if f.eval_bits(y) == fx:
             continue
@@ -151,7 +147,7 @@ def _parity(k):
     return int.from_bytes(np.packbits(odd, bitorder="little").tobytes(), "little")
 
 
-def _sparse_table(width, ones):
+def _sparse_table(ones):
     """A table with its 1s at `ones`: two points disagree only rarely."""
     return sum(1 << z for z in ones)
 
@@ -180,7 +176,7 @@ _FIXED = [
      (0,), 0, ("first_row", "exhausted")),
     # One point in 128 is 1: disagreements are rare and land anywhere in
     # a batch, also on its last row.
-    ("sparse7 n20", _junta(20, range(1, 8), _sparse_table(7, (5,))),
+    ("sparse7 n20", _junta(20, range(1, 8), _sparse_table((5,))),
      UniformTesterConfig(k=1, epsilon=Fraction(1, 8)), (4,), 0, ("last_row",)),
     # A constant at n = 64: no round ever disagrees.  Rounds 88 and 600
     # start on a chunk boundary, so the batch before each is cut short by
@@ -237,7 +233,7 @@ def _cases(draw):
     vars = sorted(int(v) + 1 for v in rng.choice(n, size=width, replace=False))
     if kind == "sparse":
         ones = rng.choice(1 << width, size=min(1 << width, draw(st.integers(1, 2))), replace=False)
-        return n, _junta(n, vars, _sparse_table(width, [int(z) for z in ones])), k
+        return n, _junta(n, vars, _sparse_table(int(z) for z in ones)), k
     table = _parity(width) if draw(st.booleans()) else rand_bits(rng, 1 << width)
     return n, _junta(n, vars, table), k
 
