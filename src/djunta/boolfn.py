@@ -358,20 +358,14 @@ class TruthTableBackend:
     kind = "truth_table"
     __slots__ = ("n", "table")
 
-    def __init__(self, n: int, table: int | bytes):
+    def __init__(self, n: int, table: int):
         if n < 1:
             raise DimensionError("need n >= 1")
         if n > TRUTH_TABLE_MAX_N:
             raise SizeError(f"truth table capped at n <= {TRUTH_TABLE_MAX_N}, got {n}")
-        nbytes = ((1 << n) + 7) // 8
-        if isinstance(table, bytes):
-            if len(table) != nbytes:
-                raise ContractError(f"table must be {nbytes} bytes, got {len(table)}")
-            self.table = table
-        else:
-            if not 0 <= table < (1 << (1 << n)):
-                raise ContractError(f"table does not fit in {1 << n} bits")
-            self.table = int(table).to_bytes(nbytes, "little")
+        if not 0 <= table < (1 << (1 << n)):
+            raise ContractError(f"table does not fit in {1 << n} bits")
+        self.table = int(table).to_bytes(((1 << n) + 7) // 8, "little")
         self.n = n
 
     def value(self, x: int) -> int:
@@ -475,25 +469,11 @@ def make_restriction_backend(parent, free_coords: Sequence[int], wbits: int):
     free_coords = tuple(free_coords)
     if isinstance(parent, JuntaBackend):
         pos_of = {c: t + 1 for t, c in enumerate(free_coords)}
-        kept = []  # (position in the restricted domain, index into parent.vars)
-        fixed_idx = 0
-        for t, v in enumerate(parent.vars):
-            p = pos_of.get(v)
-            if p is None:
-                if wbits >> (v - 1) & 1:
-                    fixed_idx |= 1 << t
-            else:
-                kept.append((p, t))
-        kept.sort()
+        kept = [v for v in parent.vars if v in pos_of]
         newtab = 0
         for a in range(1 << len(kept)):
-            idx = fixed_idx
-            for s, (_, t) in enumerate(kept):
-                if a >> s & 1:
-                    idx |= 1 << t
-            if parent.table >> idx & 1:
-                newtab |= 1 << a
-        return JuntaBackend(len(free_coords), tuple(p for p, _ in kept), newtab)
+            newtab |= parent.value(wbits | scatter_bits(a, kept)) << a
+        return JuntaBackend(len(free_coords), [pos_of[v] for v in kept], newtab)
     return RestrictionBackend(parent, free_coords, wbits)
 
 
@@ -522,7 +502,7 @@ class FunctionOracle:
     # -- constructors
 
     @classmethod
-    def from_truth_table(cls, n: int, table: int | bytes) -> "FunctionOracle":
+    def from_truth_table(cls, n: int, table: int) -> "FunctionOracle":
         return cls(TruthTableBackend(n, table))
 
     @classmethod
@@ -623,7 +603,7 @@ class Verdict:
         return self.outcome == "reject"
 
 
-def verdict_to_json(v: Verdict, n: int) -> dict:
+def verdict_to_json(v: Verdict) -> dict:
     return {
         "outcome": v.outcome,
         "queries": v.queries,

@@ -135,7 +135,7 @@ def _cmd_test(args) -> int:
     else:
         run = simple_djunta if args.tester == "simple" else main_djunta
         verdict = run(f, D, cfg, rng)
-    _emit(_dump(verdict_to_json(verdict, f.n)), args.out)
+    _emit(_dump(verdict_to_json(verdict)), args.out)
     return 3 if verdict.is_reject else 0
 
 

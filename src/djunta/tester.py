@@ -365,13 +365,10 @@ def main_djunta(
             # Verify round: settle the oldest doubtful block.
             r2 -= 1
             e = U.popleft()
-            if len(e.coords) == 1:
-                res = LiteralResult(True)
-            else:
-                xpos = gather_bits(e.xb, e.coords)
-                ypos = gather_bits(e.yb, e.coords)
-                labels = None if e.fx is None else (e.fx, e.fy)
-                res = _literal(e.view, xpos, ypos, labels, cfg, inner, feed)
+            xpos = gather_bits(e.xb, e.coords)
+            ypos = gather_bits(e.yb, e.coords)
+            labels = None if e.fx is None else (e.fx, e.fy)
+            res = _literal(e.view, xpos, ypos, labels, cfg, inner, feed)
             if res.is_literal:
                 V.append(e)
             else:

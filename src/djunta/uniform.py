@@ -138,14 +138,11 @@ def close_run(
 
 
 #: Each call runs its first _SCALAR_ROUNDS rounds through the scalar
-#: `value`, then batches.  A batch pays a fixed numpy overhead and
-#: evaluates rounds past the first disagreeing one, and most rejecting
-#: calls stop inside the scalar rounds.
+#: `value`, then batches.  A batch pays a fixed numpy overhead, and most
+#: rejecting `literal` passes end within these rounds: in main_djunta runs,
+#: 42 of 42 on planted juntas at n = 64, 72 of 86 on gen_no(300, 3) and
+#: 54 of 91 on gen_no(14, 2).
 _SCALAR_ROUNDS = 32
-#: Rounds in the first batch; each later batch doubles, up to the cap,
-#: whether or not the one before was cut short by a disagreement.
-_FIRST_BATCH = 64
-_MAX_BATCH = 256
 
 
 def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
@@ -161,12 +158,14 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
     A round draws x and a flip set, n bits each, from the feed and costs
     two queries when the flip set is nonempty.  Every round that finds a
     disagreement runs one at a time through the backend's `value`, and
-    every split happens there.  After the first rounds, a batch reads the
-    feed's buffered rounds ahead and evaluates them through `values`; it
-    only fast-forwards: it charges and skips the quiet rounds before the
-    first disagreeing one, and leaves that round in the feed for `value`.
-    So verdicts, counts and the feed's stream come out exactly as in a
-    round-by-round run.
+    every split happens there.  After the first rounds, a batch reads at
+    most as many of the feed's buffered rounds ahead as the call has
+    already run, and evaluates them through `values`; so the rows it
+    evaluates past its first disagreeing round never outnumber the rounds
+    run before it.  It only fast-forwards: it charges and skips the quiet
+    rounds before the first disagreeing one, and leaves that round in the
+    feed for `value`.  So verdicts, counts and the feed's stream come out
+    exactly as in a round-by-round run.
     """
     n = f.n
     feed = BitFeed.of(rng)
@@ -190,12 +189,11 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
     counter = f.counter
     nwords = (n + 63) >> 6
     done = 0
-    batch = _FIRST_BATCH
     # Once open_union is 0, everything sits in relevant blocks: y would
     # equal x in every later round, so no evidence can turn up.
     while done < cfg.rounds and open_union:
         if done >= _SCALAR_ROUNDS:
-            block = feed.peek_block(n, 2 * min(batch, cfg.rounds - done))
+            block = feed.peek_block(n, 2 * min(done, cfg.rounds - done))
             rows = len(block) // 2
             if rows:
                 xs = block[0 : 2 * rows : 2]
@@ -206,7 +204,6 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
                 counter.queries += 2 * int(np.count_nonzero(live[:quiet]))
                 feed.skip(2 * n * quiet)
                 done += quiet
-                batch = min(2 * batch, _MAX_BATCH)
                 if quiet == rows:
                     continue
             # The next round disagrees, or the buffer ends inside it and

@@ -288,7 +288,7 @@ def test_oracle_json_round_trip():
 def test_verdict_json_round_trip():
     pair = DistinguishingPair(BitString(4, 0b1100), BitString(4, 0b1000), frozenset({3}))
     v = Verdict("reject", (pair,), 17, 4)
-    doc = verdict_to_json(v, 4)
+    doc = verdict_to_json(v)
     back = verdict_from_json(doc, 4)
     assert back == v
     assert back.is_reject
@@ -297,4 +297,4 @@ def test_verdict_json_round_trip():
 def test_accept_verdict():
     v = Verdict("accept", (), 3, 1)
     assert not v.is_reject
-    assert verdict_from_json(verdict_to_json(v, 5), 5) == v
+    assert verdict_from_json(verdict_to_json(v), 5) == v

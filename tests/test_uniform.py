@@ -187,3 +187,52 @@ def test_batched_rounds_match_scalar_rounds(monkeypatch):
     scalar = [run(make, cfg, s) for make, cfg in cases for s in range(3)]
     assert not batched_rows
     assert batched == scalar
+
+
+class _CountingFeed(BitFeed):
+    """A BitFeed that counts the bits take() and skip() consume, and notes
+    each peek_block's ask next to the rounds consumed before it."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.used = 0
+        self.asks = []
+
+    def take(self, nbits):
+        self.used += nbits
+        return super().take(nbits)
+
+    def skip(self, nbits):
+        self.used += nbits
+        super().skip(nbits)
+
+    def peek_block(self, width, rows):
+        self.asks.append((rows // 2, self.used // (2 * width)))
+        return super().peek_block(width, rows)
+
+
+@pytest.mark.parametrize(
+    "make, cfg",
+    [
+        (
+            lambda: FunctionOracle.from_junta(64, (1,), 0),
+            UniformTesterConfig(k=1, epsilon=Fraction(1, 24)),
+        ),
+        (
+            gen_no(14, 2, np.random.default_rng(1)).oracle,
+            UniformTesterConfig(k=1, epsilon=Fraction(1, 16)),
+        ),
+    ],
+    ids=["constant n64", "gen_no n14"],
+)
+def test_batches_read_no_more_rounds_than_already_run(make, cfg):
+    """A batch asks for at most as many rounds as the call has run, so the
+    rows it evaluates past a disagreement never outnumber those rounds."""
+    asks = []
+    for seed in range(5):
+        feed = _CountingFeed(np.random.default_rng(seed))
+        uniform_junta(make(), cfg, feed)
+        asks += feed.asks
+    assert asks
+    for asked, run in asks:
+        assert asked <= run

@@ -177,7 +177,7 @@ _FIXED = [
     # One point in 128 is 1: disagreements are rare and land anywhere in
     # a batch, also on its last row.
     ("sparse7 n20", _junta(20, range(1, 8), _sparse_table((5,))),
-     UniformTesterConfig(k=1, epsilon=Fraction(1, 8)), (4,), 0, ("last_row",)),
+     UniformTesterConfig(k=1, epsilon=Fraction(1, 8)), (4, 39), 0, ("last_row",)),
     # A constant at n = 64: no round ever disagrees.  Rounds 88 and 600
     # start on a chunk boundary, so the batch before each is cut short by
     # the buffer and the next one starts on the boundary; 5 bits later,
