@@ -234,6 +234,13 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_list(value, what: str) -> list:
+    """An array field of an input file, as given: a string or object is refused."""
+    if type(value) is not list:
+        raise ContractError(f"{what} must be an array, got {type(value).__name__}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # bit strings
 
@@ -268,10 +275,6 @@ class BitString:
     @classmethod
     def from_hex(cls, n: int, s: str) -> "BitString":
         return cls(n, hex_to_bits(s, n))
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls(n, 0)
 
     def bit(self, i: int) -> int:
         """Value of coordinate i (1-based)."""
@@ -425,12 +428,11 @@ class RestrictionBackend:
     """
 
     kind = "restriction"
-    __slots__ = ("n", "parent", "free_coords", "shifts", "wbits")
+    __slots__ = ("n", "parent", "shifts", "wbits")
 
     def __init__(self, parent, free_coords: Sequence[int], wbits: int):
         self.n = len(free_coords)
         self.parent = parent
-        self.free_coords = tuple(free_coords)
         self.shifts = tuple(c - 1 for c in free_coords)
         self.wbits = wbits
 
@@ -461,12 +463,11 @@ class RestrictionBackend:
 def make_restriction_backend(parent, free_coords: Sequence[int], wbits: int):
     """Restriction of `parent` to `free_coords`, with pinned values `wbits`.
 
-    A restricted junta collapses to a junta again (partial evaluation of its
-    table), so evaluating it costs no more than evaluating the parent;
-    behavior is identical to the generic path.  Any other parent, a
-    restriction included, is wrapped as is.
+    A junta collapses to a junta again (partial evaluation of its table:
+    same values, no dearer to evaluate); any other parent, a restriction
+    included, is wrapped as is.  Called by `FunctionOracle.restrict` and
+    by `main_djunta`'s block views, which hold `wbits` already.
     """
-    free_coords = tuple(free_coords)
     if isinstance(parent, JuntaBackend):
         pos_of = {c: t + 1 for t, c in enumerate(free_coords)}
         kept = [v for v in parent.vars if v in pos_of]
@@ -561,10 +562,10 @@ class FunctionOracle:
         return FunctionOracle(self.backend, QueryCounter())
 
 
-def full_truth_table(f: FunctionOracle, max_n: int = TRUTH_TABLE_MAX_N) -> int:
-    """Materialize f as a table int (uncounted).  Guarded by max_n."""
-    if f.n > max_n:
-        raise SizeError(f"refusing to materialize 2**{f.n} entries (cap {max_n})")
+def full_truth_table(f: FunctionOracle) -> int:
+    """Materialize f as a table int (uncounted).  Guarded by TRUTH_TABLE_MAX_N."""
+    if f.n > TRUTH_TABLE_MAX_N:
+        raise SizeError(f"refusing to materialize 2**{f.n} entries (cap {TRUTH_TABLE_MAX_N})")
     b = f.backend
     if isinstance(b, TruthTableBackend):
         return b.table_bits()

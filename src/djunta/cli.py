@@ -62,7 +62,7 @@ def _load_doc(path: str) -> dict:
             doc = json.load(fh)
     except OSError as e:
         raise _CliError("io", str(e)) from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise _CliError("parse", f"{path}: {e}") from e
     if not isinstance(doc, dict):
         raise _CliError("parse", f"{path}: expected a JSON object")

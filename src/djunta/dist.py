@@ -9,17 +9,19 @@ on a seeded generator; a run is reproducible from its seed alone.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BitString, bits_to_hex, check_width, hex_to_bits, json_int, rand_bits
+from .boolfn import BitString, bits_to_hex, check_width, hex_to_bits, json_int, json_list, rand_bits
 from .errors import ContractError, DimensionError, EmptyDomainError
 
 _WEIGHT_TOL = 1e-9
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class FiniteDistribution:
     """Immutable distribution over {0,1}^n.
 
@@ -32,27 +34,11 @@ class FiniteDistribution:
     KIND_CUBE = "uniform_cube"
     KIND_SUPPORT = "support"
 
-    __slots__ = ("n", "kind", "points", "weights", "_cum")
-
-    def __init__(self, n, kind, points=None, weights=None, _cum=None):
-        self.n = n
-        self.kind = kind
-        self.points = points
-        self.weights = weights
-        self._cum = _cum
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteDistribution):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.kind == other.kind
-            and self.points == other.points
-            and self.weights == other.weights
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.kind, self.points, self.weights))
+    n: int
+    kind: str
+    points: tuple[int, ...] | None = None
+    weights: tuple[float, ...] | None = None
+    _cum: np.ndarray | None = field(default=None, compare=False)
 
     def __repr__(self):
         if self.kind == self.KIND_CUBE:
@@ -154,6 +140,9 @@ class FiniteDistribution:
         if doc["kind"] == cls.KIND_CUBE:
             return cls.uniform_cube(n)
         if doc["kind"] == cls.KIND_SUPPORT:
-            pts = [hex_to_bits(s, n) for s in doc["points"]]
-            return cls.support(n, pts, doc.get("weights"))
+            pts = [hex_to_bits(s, n) for s in json_list(doc["points"], "points")]
+            ws = doc.get("weights")
+            if ws is not None and {type(w) for w in json_list(ws, "weights")} - {int, float}:
+                raise ContractError("weights must be JSON numbers")
+            return cls.support(n, pts, ws)
         raise ContractError(f"unknown distribution kind {doc['kind']!r}")

@@ -27,7 +27,7 @@ from .uniform import uniform_junta
 _WILSON_Z = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
     Stays sane at the extremes: (0, t) gives a zero lower bound and
@@ -38,10 +38,10 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[
     if not 0 <= successes <= trials:
         raise ContractError(f"successes {successes} outside 0..{trials}")
     p = successes / trials
-    z2 = z * z
+    z2 = _WILSON_Z * _WILSON_Z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
+    half = (_WILSON_Z / denom) * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
     return (max(0.0, center - half), min(1.0, center + half))
 
 

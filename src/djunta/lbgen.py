@@ -37,6 +37,7 @@ from .boolfn import (
     gather_rows,
     hex_to_bits,
     json_int,
+    json_list,
     rand_bits,
     rows_of,
     table_lookup,
@@ -314,7 +315,7 @@ def instance_from_json(doc: dict) -> YesInstance | NoInstance:
     if len(coords) != k or len(J) != k or not all(1 <= c <= n for c in J):
         raise ContractError(f"J must list {k} distinct coordinates in 1..{n}")
     table = hex_to_bits(doc["junta_table"], 1 << k)
-    pts = tuple(hex_to_bits(s, n) for s in doc["S"])
+    pts = tuple(hex_to_bits(s, n) for s in json_list(doc["S"], "S"))
     D = FiniteDistribution.support(n, pts)
     if kind == "yes_instance":
         return YesInstance(n, k, J, table, D)

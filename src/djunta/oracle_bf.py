@@ -149,7 +149,7 @@ def is_kjunta(f: FunctionOracle, k: int) -> bool:
     """
     if f.n > 20:
         raise BudgetError(f"junta check enumerates 2**{f.n} points (cap n = 20)")
-    table = full_truth_table(f, max_n=20)
+    table = full_truth_table(f)
     relevant = 0
     for i in range(1, f.n + 1):
         shifted = table >> (1 << (i - 1))

@@ -37,6 +37,7 @@ from .boolfn import (
     block_of,
     coords_of,
     gather_bits,
+    make_restriction_backend,
     mask_of,
     scatter_bits,
 )
@@ -259,6 +260,8 @@ class _Entry:
 
 
 def _make_entry(f: FunctionOracle, full: int, mask: int, xb, yb, fx, fy) -> _Entry:
+    """Track block `mask`.  Its view is the backend `f.restrict` would build,
+    made from the mask and context at hand with no BitString round trip."""
     e = _Entry()
     e.mask = mask
     e.coords = coords_of(mask)
@@ -269,9 +272,8 @@ def _make_entry(f: FunctionOracle, full: int, mask: int, xb, yb, fx, fy) -> _Ent
     if mask == full:
         e.view = f
     else:
-        fixed = coords_of(full ^ mask)
-        w = BitString(len(fixed), gather_bits(xb, fixed))
-        e.view = f.restrict(fixed, w)
+        backend = make_restriction_backend(f.backend, e.coords, xb & (full ^ mask))
+        e.view = FunctionOracle(backend, f.counter)
     return e
 
 

@@ -173,14 +173,11 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
     start = f.counter.snapshot()
 
     # One random partition for the whole run: coordinate -> block id.
-    assignment = raw.integers(0, cfg.num_blocks, size=n)
     by_id: dict[int, int] = {}
-    for c, bid in enumerate(assignment, start=1):
-        by_id[int(bid)] = by_id.get(int(bid), 0) | (1 << (c - 1))
+    for c, bid in enumerate(raw.integers(0, cfg.num_blocks, size=n).tolist()):
+        by_id[bid] = by_id.get(bid, 0) | 1 << c
     open_masks = list(by_id.values())
-    open_union = 0
-    for m in open_masks:
-        open_union |= m
+    open_union = (1 << n) - 1
 
     found: list[DistinguishingPair] = []
     relevant_union = 0

@@ -279,6 +279,47 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: parse:") and err.count("\n") == 1
 
+    def test_array_fields(self, tmp_path, capsys):
+        # Array fields must be JSON arrays: "0123" is not read as four
+        # points, "10" not as two weights.  Weights must be JSON numbers:
+        # true is not read as 1.0, "1" not parsed.
+        f, g = tmp_path / "f.json", tmp_path / "g.json"
+        f.write_text(json.dumps({"kind": "junta", "n": 8, "junta_vars": [1], "table": "2"}))
+        support = {"kind": "support", "n": 8, "points": ["0", "1", "2", "3"]}
+        weighted = dict(support, points=["0", "1"], weights=[1, 0])
+        inst = instance_to_json(gen_no(14, 2, np.random.default_rng(1)))
+        with_dist = ("dist", "--k", 1, "--in", f, "--dist", g)
+        cases = (
+            (with_dist, support, {"points": "0123"}),
+            (with_dist, weighted, {"weights": "10"}),
+            (with_dist, weighted, {"weights": [True, False]}),
+            (with_dist, weighted, {"weights": ["1", "0"]}),
+            (with_dist, weighted, {"weights": {"0": 1, "1": 0}}),
+            (("dist", "--k", 2, "--in", g), inst, {"S": "0123456789", "labels": "0"}),
+        )
+        for argv, doc, bad in cases:
+            g.write_text(json.dumps(doc))
+            assert run(*argv) == 0
+            g.write_text(json.dumps(dict(doc, **bad)))
+            assert run(*argv) == 2, bad
+            err = capsys.readouterr().err
+            assert err.startswith("error: parse:") and err.count("\n") == 1
+
+    def test_deeply_nested_input(self, tmp_path, capsys):
+        f, deep = tmp_path / "f.json", tmp_path / "deep.json"
+        f.write_text(json.dumps({"kind": "junta", "n": 8, "junta_vars": [1], "table": "2"}))
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        commands = (
+            ("dist", "--k", 1, "--in", deep),
+            ("dist", "--k", 1, "--in", f, "--dist", deep),
+            ("verify", "--in", f, "--witness", deep),
+        )
+        for argv in commands:
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: parse:") and err.count("\n") == 1
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "field, bad", [("queries", 1.5), ("samples", True), ("outcome", "banana")]
     )
