@@ -220,8 +220,12 @@ def bits_to_hex(bits: int, nbits: int) -> str:
 
 
 def hex_to_bits(text: str, nbits: int) -> int:
+    """A hex field of an input file: one or more ASCII hex digits, either
+    case, with no sign, prefix, space or underscore."""
+    if type(text) is not str or not text or text.strip("0123456789abcdefABCDEF"):
+        raise ContractError(f"hex field must be ASCII hex digits, got {text!r:.40}")
     v = int(text, 16)
-    if v < 0 or v >> nbits:
+    if v >> nbits:
         raise ContractError(f"hex value does not fit in {nbits} bits")
     return v
 
@@ -272,19 +276,6 @@ class BitString:
                 raise ContractError(f"bad bit character {ch!r}")
         return cls(len(s), bits)
 
-    @classmethod
-    def from_hex(cls, n: int, s: str) -> "BitString":
-        return cls(n, hex_to_bits(s, n))
-
-    def bit(self, i: int) -> int:
-        """Value of coordinate i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise DimensionError(f"coordinate {i} out of range 1..{self.n}")
-        return self.bits >> (i - 1) & 1
-
-    def to_hex(self) -> str:
-        return bits_to_hex(self.bits, self.n)
-
     def __str__(self) -> str:
         return "".join("1" if self.bits >> t & 1 else "0" for t in range(self.n))
 
@@ -310,10 +301,6 @@ class QueryCounter:
         self.queries = 0
         self.samples = 0
 
-    @property
-    def total(self) -> int:
-        return self.queries + self.samples
-
     def snapshot(self) -> tuple[int, int]:
         return (self.queries, self.samples)
 
@@ -330,14 +317,9 @@ class QueryCounter:
 # values as uint8 and agrees with `value` row by row.
 
 
-def words_of(bits: int, nwords: int) -> np.ndarray:
-    """An int as `nwords` little-endian uint64 words."""
-    return np.frombuffer(bits.to_bytes(8 * nwords, "little"), dtype="<u8")
-
-
 def rows_of(points: Sequence[int], n: int) -> np.ndarray:
-    """Points of n bits as a word array, one row a point, as words_of
-    packs each."""
+    """Points of n bits as a word array, one row a point: ceil(n/64)
+    little-endian uint64 words each."""
     nwords = (n + 63) >> 6
     raw = b"".join(p.to_bytes(8 * nwords, "little") for p in points)
     return np.frombuffer(raw, dtype="<u8").reshape(len(points), nwords)
@@ -456,7 +438,7 @@ class RestrictionBackend:
         full = np.zeros((len(X), 64 * nwords), dtype=np.uint8)
         full[:, self.shifts] = free
         P = np.packbits(full, axis=1, bitorder="little").view("<u8")
-        P |= words_of(self.wbits, nwords)
+        P |= rows_of((self.wbits,), self.parent.n)
         return self.parent.values(P)
 
 
@@ -612,8 +594,8 @@ def verdict_to_json(v: Verdict) -> dict:
         "witness": [
             {
                 "block": sorted(p.block),
-                "x": p.x.to_hex(),
-                "y": p.y.to_hex(),
+                "x": bits_to_hex(p.x.bits, p.x.n),
+                "y": bits_to_hex(p.y.bits, p.y.n),
             }
             for p in v.witness
         ],
@@ -626,8 +608,8 @@ def verdict_from_json(doc: dict, n: int) -> Verdict:
         raise ContractError(f"outcome must be 'accept' or 'reject', got {outcome!r}")
     witness = tuple(
         DistinguishingPair(
-            BitString.from_hex(n, e["x"]),
-            BitString.from_hex(n, e["y"]),
+            BitString(n, hex_to_bits(e["x"], n)),
+            BitString(n, hex_to_bits(e["y"], n)),
             frozenset(json_int(c, "block entry") for c in e["block"]),
         )
         for e in doc.get("witness", [])

@@ -214,7 +214,8 @@ class _HardLabelBackend:
         lab = self.exact.get(xbits)
         if lab is not None:
             return lab
-        bucket = self.sections.get(gather_bits(xbits, self.jcoords))
+        key = gather_bits(xbits, self.jcoords)
+        bucket = self.sections.get(key)
         if bucket is not None:
             hit = False
             for yb, ylab in bucket:
@@ -225,7 +226,7 @@ class _HardLabelBackend:
             if hit:
                 return 0
         # No in-ball neighbor shares the section: background junta decides.
-        return (self.table >> gather_bits(xbits, self.jcoords)) & 1
+        return (self.table >> key) & 1
 
     def _section_matrices(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Section key -> (its support points as a (ceil(n/64), size) word

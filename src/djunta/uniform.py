@@ -29,7 +29,7 @@ from .boolfn import (
     Verdict,
     block_of,
     ceil_log2,
-    words_of,
+    rows_of,
 )
 from .errors import BudgetError, ContractError
 from .search import block_binary_search
@@ -184,7 +184,6 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
     backend = f.backend
     value = backend.value
     counter = f.counter
-    nwords = (n + 63) >> 6
     done = 0
     # Once open_union is 0, everything sits in relevant blocks: y would
     # equal x in every later round, so no evidence can turn up.
@@ -194,7 +193,7 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
             rows = len(block) // 2
             if rows:
                 xs = block[0 : 2 * rows : 2]
-                R = block[1 : 2 * rows : 2] & words_of(open_union, nwords)
+                R = block[1 : 2 * rows : 2] & rows_of((open_union,), n)
                 live = R.any(axis=1)
                 hit = np.flatnonzero(live & (backend.values(xs) != backend.values(xs ^ R)))
                 quiet = int(hit[0]) if len(hit) else rows

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from djunta import gen_no, instance_to_json
+from djunta import (
+    DFTesterConfig,
+    gen_no,
+    instance_to_json,
+    oracle_from_json,
+    uniform_junta,
+    verdict_to_json,
+)
 from djunta.boolfn import MAX_WIDTH
 from djunta.cli import main
 
@@ -168,6 +175,26 @@ def test_bench_json_format(tmp_path):
     assert len(doc["rows"]) == 1
 
 
+def test_uniform_tester(tmp_path):
+    """`--tester uniform` writes uniform_junta's verdict and ignores --dist."""
+    f, d, v = tmp_path / "f.json", tmp_path / "d.json", tmp_path / "v.json"
+    d.write_text(json.dumps({"kind": "support", "n": 10, "points": ["000", "3ff"]}))
+    cfg = DFTesterConfig(k=2, epsilon=0.5)
+    argv = ("test", "--tester", "uniform", "--epsilon", 0.5, "--k", 2, "--in", f, "--seed", 1)
+    cases = (
+        ({"kind": "junta", "n": 10, "junta_vars": [2, 5], "table": "6"}, 0),  # x2 xor x5
+        ({"kind": "junta", "n": 10, "junta_vars": [2, 5, 7], "table": "96"}, 3),  # parity of 3
+    )
+    for doc, code in cases:
+        f.write_text(json.dumps(doc))
+        # At seed 1 the random partition puts x2, x5 and x7 in three blocks.
+        want = verdict_to_json(uniform_junta(oracle_from_json(doc), cfg, np.random.default_rng(1)))
+        want = json.dumps(want, sort_keys=True, indent=2) + "\n"
+        for extra in ((), ("--dist", d)):
+            assert run(*argv, "--out", v, *extra) == code
+            assert v.read_text() == want
+
+
 def test_instance_round_trip_through_files(tmp_path):
     y = tmp_path / "y.json"
     run("gen-yes", "--n", 14, "--k", 2, "--seed", 9, "--out", y)
@@ -279,6 +306,39 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: parse:") and err.count("\n") == 1
 
+    def test_hex_fields(self, tmp_path, capsys):
+        # Hex fields are one or more ASCII hex digits: no "0x" prefix,
+        # sign, space or underscore, and no other script's digits.
+        f, g = tmp_path / "f.json", tmp_path / "g.json"
+        junta = {"kind": "junta", "n": 8, "junta_vars": [1], "table": "2"}  # x1
+        inst = instance_to_json(gen_no(14, 2, np.random.default_rng(1)))
+        witness = {
+            "outcome": "reject", "queries": 2, "samples": 0,
+            "witness": [{"block": [1], "x": "00", "y": "01"}],
+        }
+        f.write_text(json.dumps(junta))
+        with_dist = ("dist", "--k", 1, "--in", f, "--dist", g)
+        dist = ("dist", "--k", 2, "--in", g)
+        pair = witness["witness"][0]
+        cases = (
+            (with_dist, {"kind": "support", "n": 8, "points": ["ff", "80"]}, "points", lambda v: ["ff", v]),
+            (dist, inst, "S", lambda v: [v] + inst["S"][1:]),
+            (dist, inst, "junta_table", lambda v: v),
+            (dist, inst, "labels", lambda v: v),
+            (("dist", "--k", 1, "--in", g), {"kind": "truth_table", "n": 2, "table": "6"}, "table", lambda v: v),
+            (("dist", "--k", 1, "--in", g), junta, "table", lambda v: v),
+            (("verify", "--in", f, "--witness", g), witness, "witness", lambda v: [dict(pair, x=v)]),
+            (("verify", "--in", f, "--witness", g), witness, "witness", lambda v: [dict(pair, y=v)]),
+        )
+        for argv, doc, field, put in cases:
+            g.write_text(json.dumps(doc))
+            assert run(*argv) == 0, field
+            for bad in ("0x1", " 2 ", "+3", "1_0", "\u0661", "", 1, None):
+                g.write_text(json.dumps(dict(doc, **{field: put(bad)})))
+                assert run(*argv) == 2, (field, bad)
+                err = capsys.readouterr().err
+                assert err.startswith("error: parse:") and err.count("\n") == 1
+
     def test_array_fields(self, tmp_path, capsys):
         # Array fields must be JSON arrays: "0123" is not read as four
         # points, "10" not as two weights.  Weights must be JSON numbers:
@@ -351,6 +411,11 @@ class TestErrors:
             {"kind": "truth_table", "n": 2, "table": 5},
             {"kind": "junta", "n": 1e999, "junta_vars": [1], "table": "2"},
             {"kind": "no_instance", "n": [14], "k": 2, "seed": 0},
+            {"kind": "junta", "n": 8, "junta_vars": [3, 1], "table": "2"},
+            {"kind": "junta", "n": 8, "junta_vars": [1, 1], "table": "2"},
+            {"kind": "junta", "n": 8, "junta_vars": [9], "table": "2"},
+            {"kind": "junta", "n": 8, "junta_vars": [0], "table": "2"},
+            {"kind": "junta", "n": 0, "junta_vars": [1], "table": "2"},
         ],
     )
     def test_mistyped_function_file(self, tmp_path, capsys, doc):
@@ -391,6 +456,26 @@ class TestErrors:
         assert run("test", "--tester", "simple", "--epsilon", 0.5, "--k", 2, "--in", f, "--out", v) == 0
         assert run("test", "--tester", "simple", "--epsilon", 0.5, "--in", f) == 2
         assert "--k is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_list", ["8,x", ","])
+    def test_bad_n_list(self, capsys, n_list):
+        assert run("bench", "--k", 1, "--epsilon", 0.5, "--n", n_list, "--trials", 1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and err.count("\n") == 1
+
+    def test_truth_table_size_cap(self, tmp_path, capsys):
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps({"kind": "truth_table", "n": 25, "table": "0"}))
+        assert run("dist", "--k", 1, "--in", p) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: size:") and err.count("\n") == 1
+
+    def test_bench_witness_failure(self, monkeypatch, capsys):
+        # A rejection whose witness fails re-verification is a bug: exit 1.
+        monkeypatch.setattr("djunta.harness.verify_witness", lambda f, w: False)
+        assert run("bench", "--k", 1, "--epsilon", 0.5, "--n", 8, "--trials", 2) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: witness:") and err.count("\n") == 1
 
     def test_bad_epsilon(self, tmp_path, capsys):
         f = tmp_path / "f.json"

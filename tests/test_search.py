@@ -119,6 +119,13 @@ def test_block_search_validation():
         block_binary_search(g, x, x, [frozenset({1})])
 
 
+def test_block_search_refuses_empty_block():
+    g = _literal(4, 2)
+    x, y = BitString.from_str("1111"), BitString.from_str("0000")
+    with pytest.raises(ContractError, match="nonempty"):
+        block_binary_search(g, x, y, [frozenset(), frozenset({1, 2, 3, 4})])
+
+
 @given(st.data())
 @settings(max_examples=100)
 def test_block_search_contract(data):

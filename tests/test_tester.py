@@ -141,7 +141,7 @@ class TestLiteral:
         res = literal(g, pair, cfg, np.random.default_rng(4))
         assert res.is_literal
         assert res.parts is None
-        assert g.counter.total <= cfg.literal_query_ceiling()
+        assert g.counter.queries + g.counter.samples <= cfg.literal_query_ceiling()
 
     def test_negated_literal_passes(self):
         cfg = DFTesterConfig(k=2, epsilon=0.5)

@@ -7,19 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from djunta import BitFeed, BitString, FiniteDistribution, FunctionOracle, gen_no, rand_bits
-from djunta.boolfn import RestrictionBackend, TruthTableBackend, words_of
+from djunta.boolfn import RestrictionBackend, TruthTableBackend, rows_of
 from djunta.errors import ContractError
 from djunta.lbgen import NoInstance, neighbor_radius
 
 WIDTHS = st.sampled_from([1, 2, 63, 64, 65, 128, 300])
 
 
-def _rows(points, n):
-    return np.stack([words_of(p, (n + 63) >> 6) for p in points])
-
-
 def _check(backend, points):
-    got = backend.values(_rows(points, backend.n))
+    got = backend.values(rows_of(points, backend.n))
     assert got.dtype == np.uint8
     assert got.tolist() == [backend.value(p) for p in points]
 
