@@ -121,6 +121,10 @@ class BitFeed:
     exactly the bits they used.  Neither touches the generator, so a
     peek_block/skip pair leaves the feed, and `rng` for callers that draw
     from it directly, where the same bits taken by take() would.
+
+    Invariant: the `_rembits` bits held in `_rem` are the top `_rembits`
+    bits of `_arr[_i - 1]`, so the next unread bit of the stream is bit
+    64*_i - _rembits of the chunk, and peek_block reads from there.
     """
 
     __slots__ = ("rng", "_words", "_arr", "_i", "_rem", "_rembits")
@@ -174,17 +178,12 @@ class BitFeed:
         rows = max(0, min(rows, self.buffered() // width))
         wc = (width + 63) >> 6
         nbits = rows * width
-        need = max(0, nbits - self._rembits)
+        p = 64 * self._i - self._rembits
         bits = np.unpackbits(
-            self._arr[self._i : self._i + ((need + 63) >> 6)].view(np.uint8),
-            bitorder="little",
+            self._arr.view(np.uint8)[p >> 3 : (p + nbits + 7) >> 3], bitorder="little"
         )
-        if self._rembits:
-            head = np.array([self._rem], dtype="<u8").view(np.uint8)
-            head = np.unpackbits(head, count=self._rembits, bitorder="little")
-            bits = np.concatenate((head, bits))
         fields = np.zeros((rows, 64 * wc), dtype=np.uint8)
-        fields[:, :width] = bits[:nbits].reshape(rows, width)
+        fields[:, :width] = bits[p & 7 : (p & 7) + nbits].reshape(rows, width)
         return np.packbits(fields, axis=1, bitorder="little").view("<u8")
 
     def skip(self, nbits: int) -> None:
@@ -371,7 +370,7 @@ class JuntaBackend:
     """
 
     kind = "junta"
-    __slots__ = ("n", "vars", "table")
+    __slots__ = ("n", "vars", "table", "_cols")
 
     def __init__(self, n: int, vars: Sequence[int], table: int):
         if n < 1:
@@ -387,6 +386,7 @@ class JuntaBackend:
         self.n = n
         self.vars = vs
         self.table = int(table)
+        self._cols = None
 
     def value(self, x: int) -> int:
         idx = 0
@@ -396,9 +396,21 @@ class JuntaBackend:
         return self.table >> idx & 1
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        nbytes = ((1 << len(self.vars)) + 7) // 8
-        packed = np.frombuffer(self.table.to_bytes(nbytes, "little"), dtype=np.uint8)
-        return table_lookup(packed, gather_rows(X, self.vars))
+        # The variables' word indices and shifts, and the table as packed
+        # bytes (unpacked when it has 2 bits), are built on the first call.
+        if self._cols is None:
+            c = np.asarray(self.vars, dtype=np.int64) - 1
+            nbytes = ((1 << len(c)) + 7) // 8
+            table = np.frombuffer(self.table.to_bytes(nbytes, "little"), dtype=np.uint8)
+            if len(c) == 1:
+                table = np.unpackbits(table, count=2, bitorder="little")
+            self._cols = (c >> 6, (c & 63).astype(np.uint64), table)
+        w, s, table = self._cols
+        if len(w) == 1:
+            return table[(X[:, w[0]] >> s[0]) & np.uint64(1)]
+        bits = (X[:, w] >> s) & np.uint64(1)
+        idx = (bits << np.arange(len(w), dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+        return table_lookup(table, idx)
 
 
 class RestrictionBackend:

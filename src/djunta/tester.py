@@ -74,11 +74,13 @@ def _where(g: FunctionOracle, lmask: int, rmask: int, feed: BitFeed) -> WhereRes
     # Each side check flips the whole side at a fresh uniform point; an
     # empty side can never pass and is skipped without spending queries.
     n = g.n
+    value = g.backend.value
     for side, mask in (("left", lmask), ("right", rmask)):
         if mask:
             a = feed.take(n)
-            fa = g.eval_bits(a)
-            fb = g.eval_bits(a ^ mask)
+            fa = value(a)
+            fb = value(a ^ mask)
+            g.counter.queries += 2
             if fa != fb:
                 return WhereResult(side, a, mask, fa, fb)
     return _FAIL
@@ -254,9 +256,26 @@ class _Entry:
     values there when known (entries built from a uniform-tester witness
     arrive without labels, and `literal` re-queries them).  `view` is f
     with everything outside the block pinned to the pair's shared context.
+    `tables` holds the byte tables of `scatter`, built on its first call.
     """
 
-    __slots__ = ("mask", "coords", "xb", "yb", "fx", "fy", "view")
+    __slots__ = ("mask", "coords", "xb", "yb", "fx", "fy", "view", "tables")
+
+    def scatter(self, bits: int) -> int:
+        """scatter_bits(bits, self.coords), one byte of `bits` at a time:
+        tables[j][b] is the scatter of b << 8j."""
+        if self.tables is None:
+            self.tables = []
+            for j in range(0, len(self.coords), 8):
+                t = [0]
+                for c in self.coords[j : j + 8]:
+                    t += [v | 1 << (c - 1) for v in t]
+                self.tables.append(t)
+        out = 0
+        for t in self.tables:
+            out |= t[bits & 255]
+            bits >>= 8
+        return out
 
 
 def _make_entry(f: FunctionOracle, full: int, mask: int, xb, yb, fx, fy) -> _Entry:
@@ -269,6 +288,7 @@ def _make_entry(f: FunctionOracle, full: int, mask: int, xb, yb, fx, fy) -> _Ent
     e.yb = yb
     e.fx = fx
     e.fy = fy
+    e.tables = None
     if mask == full:
         e.view = f
     else:
@@ -337,7 +357,7 @@ def main_djunta(
                     break
                 # Flip the half judged free of the controlling variable.
                 tmask = qmask if res.outcome == "left" else pmask
-                cands.append((scatter_bits(tmask, e.coords), (e, res)))
+                cands.append((e.scatter(tmask), (e, res)))
             else:
                 vmask = 0
                 for e in V:

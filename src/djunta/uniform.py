@@ -160,12 +160,13 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
     disagreement runs one at a time through the backend's `value`, and
     every split happens there.  After the first rounds, a batch reads at
     most as many of the feed's buffered rounds ahead as the call has
-    already run, and evaluates them through `values`; so the rows it
-    evaluates past its first disagreeing round never outnumber the rounds
-    run before it.  It only fast-forwards: it charges and skips the quiet
-    rounds before the first disagreeing one, and leaves that round in the
-    feed for `value`.  So verdicts, counts and the feed's stream come out
-    exactly as in a round-by-round run.
+    already run, and evaluates them, x rows and y rows together, in one
+    `values` call; so the rows it evaluates past its first disagreeing
+    round never outnumber the rounds run before it.  It only
+    fast-forwards: it charges and skips the quiet rounds before the first
+    disagreeing one, and leaves that round in the feed for `value`.  So
+    verdicts, counts and the feed's stream come out exactly as in a
+    round-by-round run.
     """
     n = f.n
     feed = BitFeed.of(rng)
@@ -178,6 +179,7 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
         by_id[bid] = by_id.get(bid, 0) | 1 << c
     open_masks = list(by_id.values())
     open_union = (1 << n) - 1
+    open_row = rows_of((open_union,), n)
 
     found: list[DistinguishingPair] = []
     relevant_union = 0
@@ -193,9 +195,10 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
             rows = len(block) // 2
             if rows:
                 xs = block[0 : 2 * rows : 2]
-                R = block[1 : 2 * rows : 2] & rows_of((open_union,), n)
+                R = block[1 : 2 * rows : 2] & open_row
                 live = R.any(axis=1)
-                hit = np.flatnonzero(live & (backend.values(xs) != backend.values(xs ^ R)))
+                v = backend.values(np.concatenate((xs, xs ^ R)))
+                hit = np.flatnonzero(live & (v[:rows] != v[rows:]))
                 quiet = int(hit[0]) if len(hit) else rows
                 counter.queries += 2 * int(np.count_nonzero(live[:quiet]))
                 feed.skip(2 * n * quiet)
@@ -228,6 +231,7 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
         )
         full = open_masks.pop(probe_at[res.index])
         open_union ^= full
+        open_row = rows_of((open_union,), n)
         relevant_union |= full
         found.append(DistinguishingPair(res.pair.x, res.pair.y, block_of(full)))
         if len(found) > cfg.k:

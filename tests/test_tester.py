@@ -16,7 +16,9 @@ from djunta import (
     verify_witness,
     where_is_the_literal,
 )
+from djunta.boolfn import mask_of, scatter_bits
 from djunta.errors import BudgetError, ContractError, DimensionError
+from djunta.tester import _make_entry
 
 
 def _parity(k):
@@ -325,3 +327,18 @@ class TestMain:
                 rejections += 1
                 assert verify_witness(g, v.witness)
         assert rejections >= 7
+
+    def test_entry_scatter_matches_scatter_bits(self):
+        # Every block size 1..70, so blocks of one, one and a bit, and
+        # eight or more bytes; coordinates up to 300.  Each entry scatters
+        # twice, so its byte tables are built once and then reused.
+        n = 300
+        f = FunctionOracle.from_junta(n, [], 0)
+        full = (1 << n) - 1
+        rng = np.random.default_rng(12)
+        for size in range(1, 71):
+            for _ in range(3):
+                coords = sorted(int(c) + 1 for c in rng.choice(n, size=size, replace=False))
+                e = _make_entry(f, full, mask_of(coords), 0, 0, None, None)
+                for bits in (rand_bits(rng, size), (1 << size) - 1, 1 << (size - 1)):
+                    assert e.scatter(bits) == scatter_bits(bits, coords)

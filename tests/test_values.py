@@ -3,7 +3,7 @@ and the BitFeed read-ahead pair leaves the stream where plain takes do."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from djunta import BitFeed, BitString, FiniteDistribution, FunctionOracle, gen_no, rand_bits
@@ -15,9 +15,12 @@ WIDTHS = st.sampled_from([1, 2, 63, 64, 65, 128, 300])
 
 
 def _check(backend, points):
-    got = backend.values(rows_of(points, backend.n))
-    assert got.dtype == np.uint8
-    assert got.tolist() == [backend.value(p) for p in points]
+    # Twice, the second time in reverse order, so that state a backend
+    # builds on its first batched call is used again on other rows.
+    for pts in (points, points[::-1]):
+        got = backend.values(rows_of(pts, backend.n))
+        assert got.dtype == np.uint8
+        assert got.tolist() == [backend.value(p) for p in pts]
 
 
 def _near(rng, p, n, flips):
@@ -71,6 +74,18 @@ def test_restriction_values(data):
         nested = RestrictionBackend(g.backend, sorted(free), w)
         inner = data.draw(st.lists(st.integers(0, (1 << nested.n) - 1), min_size=1, max_size=10))
         _check(nested, inner)
+
+
+@pytest.mark.parametrize("var", [1, 64, 65, 260, 300])
+def test_one_variable_and_constant_junta_values(var):
+    # One variable in every word of a 300-bit point (260 and 300 lie in
+    # word 4), under each of its four tables, and the two constants.
+    rng = np.random.default_rng(var)
+    points = [rand_bits(rng, 300) for _ in range(40)]
+    for table in range(4):
+        _check(FunctionOracle.from_junta(300, [var], table).backend, points)
+    for table in range(2):
+        _check(FunctionOracle.from_junta(300, [], table).backend, points)
 
 
 def test_junta_collapsed_restriction_values():
@@ -156,18 +171,73 @@ def _state(feed):
     return feed.take(200), feed.rng.bit_generator.state
 
 
-@pytest.mark.parametrize("width", [1, 7, 64, 150, 300])
-def test_peek_block_skip_matches_take(width):
-    plain = BitFeed(np.random.default_rng(4))
-    ahead = BitFeed(np.random.default_rng(4))
-    for feed in (plain, ahead):
-        feed.take(37)  # leave a partial word buffered
-    block = ahead.peek_block(width, 50)
-    assert block.shape == (min(50, ahead.buffered() // width), (width + 63) >> 6)
-    used = len(block) // 2 + 1
-    fields = [plain.take(width) for _ in range(used)]
-    assert [int.from_bytes(r.tobytes(), "little") for r in block[:used]] == fields
+CHUNK_BITS = 64 * BitFeed._CHUNK_WORDS
+
+
+def _check_remainder(feed):
+    # peek_block relies on this: the buffered remainder is the top
+    # _rembits bits of the last word read from the chunk.
+    if feed._rembits:
+        assert feed._rem == int(feed._arr[feed._i - 1]) >> (64 - feed._rembits)
+
+
+@pytest.mark.parametrize(
+    "width", [1, 7, 63, 64, 65, 128, 150, 300, 400, pytest.param(None, id="any")]
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    moves=st.lists(st.tuples(st.booleans(), st.integers(0, 700)), min_size=1, max_size=5),
+    where=st.sampled_from(["anywhere", "word edge", "chunk end"]),
+    tail=st.tuples(st.integers(1, 3), st.integers(0, 63)),
+    rows=st.one_of(st.integers(0, 40), st.just(CHUNK_BITS)),
+    data=st.data(),
+)
+@example(seed=3, moves=[(False, 37)], where="word edge", tail=(1, 0), rows=40, data=None)
+@example(seed=4, moves=[(False, 37)], where="word edge", tail=(3, 0), rows=40, data=None)
+@example(seed=5, moves=[(False, 64)], where="anywhere", tail=(1, 0), rows=40, data=None)
+@example(seed=6, moves=[(False, 5)], where="chunk end", tail=(2, 9), rows=CHUNK_BITS, data=None)
+@settings(max_examples=50, deadline=None)
+def test_peek_block_skip_matches_take(width, seed, moves, where, tail, rows, data):
+    # `ahead` reaches its starting state by takes and skips (a skip with
+    # nothing buffered becomes a take), `plain` and `ref` by takes alone.
+    # "word edge" then skips to the end of the remainder or tail[0] - 1
+    # words past it, leaving no remainder; "chunk end" skips to leave
+    # tail[0] fields plus tail[1] bits buffered, so reading every
+    # buffered field reaches the chunk's last word.
+    if width is None:
+        width = data.draw(st.integers(1, 400)) if data is not None else 97
+    feeds = [BitFeed(np.random.default_rng(seed)) for _ in range(3)]
+    ahead, plain, ref = feeds
+
+    def move(skip, nbits):
+        if skip and nbits <= ahead.buffered():
+            ahead.skip(nbits)
+        else:
+            ahead.take(nbits)
+        for feed in (plain, ref):
+            feed.take(nbits)
+        for feed in feeds:
+            _check_remainder(feed)
+
+    for skip, nbits in moves:
+        move(skip, nbits)
+    if where == "word edge":
+        move(True, ahead._rembits + 64 * (tail[0] - 1))
+        assert ahead._rembits == 0
+    elif where == "chunk end":
+        move(True, max(0, ahead.buffered() - (tail[0] * width + tail[1])))
+
+    block = ahead.peek_block(width, rows)
+    got = min(rows, ahead.buffered() // width)
+    assert block.shape == (got, (width + 63) >> 6)
+    big = ref.take(got * width)
+    fmask = (1 << width) - 1
+    for j in {*range(min(got, 64)), got // 2, got - 1} & set(range(got)):
+        assert int.from_bytes(block[j].tobytes(), "little") == big >> (j * width) & fmask
+    used = got // 2 + (got > 0)
     ahead.skip(used * width)
+    plain.take(used * width)
+    _check_remainder(ahead)
     more = (3, 64, 129)
     assert [plain.take(w) for w in more] == [ahead.take(w) for w in more]
     assert _state(plain) == _state(ahead)
