@@ -96,9 +96,14 @@ class FiniteDistribution:
         return len(self.points)
 
     def mass(self, x: BitString | int) -> Fraction | float:
-        xb = x.bits if isinstance(x, BitString) else int(x)
-        if isinstance(x, BitString) and x.n != self.n:
-            raise DimensionError(f"point has {x.n} coordinates, expected {self.n}")
+        if isinstance(x, BitString):
+            if x.n != self.n:
+                raise DimensionError(f"point has {x.n} coordinates, expected {self.n}")
+            xb = x.bits
+        else:
+            xb = int(x)
+            if xb < 0 or xb >> self.n:
+                raise DimensionError(f"point {xb} does not fit in {self.n} bits")
         if self.kind == self.KIND_CUBE:
             return Fraction(1, 1 << self.n)
         if xb not in self.points:

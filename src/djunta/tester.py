@@ -250,16 +250,40 @@ def simple_djunta(
 
 
 class _Entry:
-    """One tracked block with a full-length pair and a cached restriction.
+    """One tracked block: its mask, a full-length pair and a cached view.
 
     xb and yb agree everywhere outside the block's mask; fx/fy are f's
     values there when known (entries built from a uniform-tester witness
     arrive without labels, and `literal` re-queries them).  `view` is f
-    with everything outside the block pinned to the pair's shared context.
-    `tables` holds the byte tables of `scatter`, built on its first call.
+    with everything outside the block pinned to the pair's shared context,
+    as `f.restrict` would build it.  `lift` tracks a pair found on the view
+    as a new block of f; `scatter` builds its byte `tables` on first use.
     """
 
     __slots__ = ("mask", "coords", "xb", "yb", "fx", "fy", "view", "tables")
+
+    def __init__(self, f: FunctionOracle, full: int, mask: int, xb, yb, fx, fy):
+        self.mask = mask
+        self.coords = coords_of(mask)
+        self.xb = xb
+        self.yb = yb
+        self.fx = fx
+        self.fy = fy
+        self.tables = None
+        if mask == full:
+            self.view = f
+        else:
+            backend = make_restriction_backend(f.backend, self.coords, xb & (full ^ mask))
+            self.view = FunctionOracle(backend, f.counter)
+
+    def lift(self, f: FunctionOracle, full: int, x: int, y: int, mask: int, fx, fy) -> _Entry:
+        """Track the pair (x, y), found on this block's view, at full length."""
+        ctx = self.xb & (full ^ self.mask)
+        coords = self.coords
+        return _Entry(
+            f, full, scatter_bits(mask, coords),
+            ctx | scatter_bits(x, coords), ctx | scatter_bits(y, coords), fx, fy,
+        )
 
     def scatter(self, bits: int) -> int:
         """scatter_bits(bits, self.coords), one byte of `bits` at a time:
@@ -276,37 +300,6 @@ class _Entry:
             out |= t[bits & 255]
             bits >>= 8
         return out
-
-
-def _make_entry(f: FunctionOracle, full: int, mask: int, xb, yb, fx, fy) -> _Entry:
-    """Track block `mask`.  Its view is the backend `f.restrict` would build,
-    made from the mask and context at hand with no BitString round trip."""
-    e = _Entry()
-    e.mask = mask
-    e.coords = coords_of(mask)
-    e.xb = xb
-    e.yb = yb
-    e.fx = fx
-    e.fy = fy
-    e.tables = None
-    if mask == full:
-        e.view = f
-    else:
-        backend = make_restriction_backend(f.backend, e.coords, xb & (full ^ mask))
-        e.view = FunctionOracle(backend, f.counter)
-    return e
-
-
-def _embed_entry(
-    f: FunctionOracle, full: int, parent: _Entry, x: int, y: int, mask: int, fx, fy
-) -> _Entry:
-    """Lift a pair found on a parent block's restriction to full length."""
-    ctx = parent.xb & (full ^ parent.mask)
-    coords = parent.coords
-    return _make_entry(
-        f, full, scatter_bits(mask, coords),
-        ctx | scatter_bits(x, coords), ctx | scatter_bits(y, coords), fx, fy,
-    )
 
 
 def main_djunta(
@@ -348,26 +341,27 @@ def main_djunta(
             # are (flip mask, (entry, side probe) or None) in search order.
             r1 -= 1
             cands = []
+            vmask = rmask = 0
             for e in V:
                 bsz = len(e.coords)
+                bfull = (1 << bsz) - 1
                 pmask = feed.take(bsz)
-                qmask = pmask ^ ((1 << bsz) - 1)
-                res = _where(e.view, pmask, qmask, feed)
-                if res.outcome == "fail":
+                w = _where(e.view, pmask, pmask ^ bfull, feed)
+                if w.outcome == "fail":
                     break
                 # Flip the half judged free of the controlling variable.
-                tmask = qmask if res.outcome == "left" else pmask
-                cands.append((e.scatter(tmask), (e, res)))
+                tmask = e.scatter(w.mask ^ bfull)
+                vmask |= e.mask
+                rmask |= tmask
+                if tmask:
+                    cands.append((tmask, (e, w)))
             else:
-                vmask = 0
-                for e in V:
-                    vmask |= e.mask
                 xb = D.sample_bits(raw)
                 fx = f.sample_eval_bits(xb)
-                cands = [c for c in [(feed.take(n) & (full ^ vmask), None), *cands] if c[0]]
-                rmask = 0
-                for m, _ in cands:
-                    rmask |= m
+                fresh = feed.take(n) & (full ^ vmask)
+                if fresh:
+                    cands.insert(0, (fresh, None))
+                    rmask |= fresh
                 yb = xb ^ rmask
                 if rmask and f.eval_bits(yb) != fx:
                     res = block_binary_search(
@@ -378,11 +372,9 @@ def main_djunta(
                     if side is not None:
                         # A vetted block's free half is relevant: dissolve it.
                         e, w = side
-                        U.append(_embed_entry(f, full, e, w.x, w.x ^ w.mask, w.mask, w.fx, w.fy))
+                        U.append(e.lift(f, full, w.x, w.x ^ w.mask, w.mask, w.fx, w.fy))
                         V.remove(e)
-                    U.append(_make_entry(
-                        f, full, mask, res.pair.x.bits, res.pair.y.bits, res.fx, res.fy
-                    ))
+                    U.append(_Entry(f, full, mask, res.pair.x.bits, res.pair.y.bits, res.fx, res.fy))
         else:
             # Verify round: settle the oldest doubtful block.
             r2 -= 1
@@ -395,7 +387,7 @@ def main_djunta(
                 V.append(e)
             else:
                 for part in res.parts:
-                    U.append(_embed_entry(f, full, e, *part))
+                    U.append(e.lift(f, full, *part))
         if len(V) + len(U) >= cfg.k + 1:
             witness = tuple(
                 DistinguishingPair(BitString(n, e.xb), BitString(n, e.yb), block_of(e.mask))

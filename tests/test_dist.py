@@ -29,6 +29,24 @@ def test_weighted_support_mass():
     assert D.mass(BitString(2, 1)) == 0.0
 
 
+def test_int_mass_checks_width():
+    # An int point is read as n bits, like a BitString: anything outside
+    # 0 .. 2**n - 1 is refused, not given a mass.
+    cube = FiniteDistribution.uniform_cube(3)
+    supp = FiniteDistribution.support(3, (0b001, 0b111))
+    weighted = FiniteDistribution.support(3, (0b001, 0b111), weights=(0.5, 0.5))
+    for D in (cube, supp, weighted):
+        assert sum(D.mass(b) for b in range(8)) == pytest.approx(1)
+        for bad in (8, -1, 1 << 64):
+            with pytest.raises(DimensionError):
+                D.mass(bad)
+        with pytest.raises(DimensionError):
+            D.mass(BitString(4, 1))
+    assert cube.mass(7) == Fraction(1, 8)
+    assert supp.mass(0b111) == Fraction(1, 2)
+    assert supp.mass(0) == Fraction(0)
+
+
 def test_support_validation():
     with pytest.raises(EmptyDomainError):
         FiniteDistribution.support(3, ())

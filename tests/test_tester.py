@@ -18,7 +18,7 @@ from djunta import (
 )
 from djunta.boolfn import mask_of, scatter_bits
 from djunta.errors import BudgetError, ContractError, DimensionError
-from djunta.tester import _make_entry
+from djunta.tester import _Entry
 
 
 def _parity(k):
@@ -331,7 +331,9 @@ class TestMain:
     def test_entry_scatter_matches_scatter_bits(self):
         # Every block size 1..70, so blocks of one, one and a bit, and
         # eight or more bytes; coordinates up to 300.  Each entry scatters
-        # twice, so its byte tables are built once and then reused.
+        # twice, so its byte tables are built once and then reused.  Its
+        # pair carries a random context outside the block, which `lift`
+        # must keep around the scattered block-local pair.
         n = 300
         f = FunctionOracle.from_junta(n, [], 0)
         full = (1 << n) - 1
@@ -339,6 +341,16 @@ class TestMain:
         for size in range(1, 71):
             for _ in range(3):
                 coords = sorted(int(c) + 1 for c in rng.choice(n, size=size, replace=False))
-                e = _make_entry(f, full, mask_of(coords), 0, 0, None, None)
+                mask = mask_of(coords)
+                ctx = rand_bits(rng, n) & (full ^ mask)
+                assert ctx
+                e = _Entry(f, full, mask, ctx, ctx ^ mask, None, None)
                 for bits in (rand_bits(rng, size), (1 << size) - 1, 1 << (size - 1)):
                     assert e.scatter(bits) == scatter_bits(bits, coords)
+                x, y = rand_bits(rng, size), rand_bits(rng, size)
+                part = rand_bits(rng, size) | 1
+                child = e.lift(f, full, x, y, part, 0, 1)
+                assert child.mask == scatter_bits(part, coords)
+                assert child.xb == ctx | scatter_bits(x, coords)
+                assert child.yb == ctx | scatter_bits(y, coords)
+                assert (child.fx, child.fy) == (0, 1)
