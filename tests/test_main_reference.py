@@ -3,7 +3,11 @@
 The reference below is `_where`, `_literal`, `_Entry`, `_make_entry`,
 `_embed_entry`, `_assert_good` and `main_djunta` as they were while every
 probe and split built a `DistinguishingPair` with `BitString` endpoints
-and a frozenset block, kept line for line.  Two things are added: it checks the pool's invariants (disjoint nonempty
+and a frozenset block, kept line for line but for the random-stream
+layout, which is the library's: a side probe draws both of its points
+before it checks either side, a sample is read from the feed by
+`reference_sample`, and a search round whose side probe fails still
+reads all of its fields.  Two things are added: it checks the pool's invariants (disjoint nonempty
 blocks, every stored pair still distinguishing, the potential 3|V| + 2|U|
 never falling) after every round, and it counts the rare branches in
 EVENTS, so the fixed cases can show that they reach each one.  The
@@ -62,12 +66,14 @@ class WhereResult:
 
 
 def _where(g: FunctionOracle, lmask: int, rmask: int, feed: BitFeed) -> WhereResult:
-    # Each side check flips the whole side at a fresh uniform point; an
-    # empty side can never pass and is skipped without spending queries.
+    # Both points are drawn before either side is checked.  Each side
+    # check flips the whole side at its own uniform point; an empty side
+    # can never pass and is skipped without spending queries.
     n = g.n
+    points = {"left": feed.take(n), "right": feed.take(n)}
     for side, mask in (("left", lmask), ("right", rmask)):
         if mask:
-            a = feed.take(n)
+            a = points[side]
             fa = g.eval_bits(a)
             fb = g.eval_bits(a ^ mask)
             if fa != fb:
@@ -75,6 +81,25 @@ def _where(g: FunctionOracle, lmask: int, rmask: int, feed: BitFeed) -> WhereRes
                 return WhereResult(side, pair, fa, fb)
     EVENTS["where_fail"] += 1
     return WhereResult("fail")
+
+
+def reference_sample(D: FiniteDistribution, feed: BitFeed) -> int:
+    """One point of D: the cube's n-bit field is the point itself; on a
+    support of m points, a 64-bit draw u picks point floor(u * m / 2**64),
+    or, with weights, the first point whose running weight total passes
+    u's top 53 bits as a fraction, the last point with mass if none does."""
+    if D.kind == D.KIND_CUBE:
+        return feed.take(D.n)
+    u = feed.take(64)
+    if D.weights is None:
+        return D.points[u * len(D.points) >> 64]
+    t = (u >> 11) / 2**53
+    total = 0.0
+    for p, w in zip(D.points, D.weights):
+        total += w
+        if t < total:
+            return p
+    return [p for p, w in zip(D.points, D.weights) if w > 0][-1]
 
 
 @dataclass(frozen=True)
@@ -220,7 +245,6 @@ def main_djunta(
     """
     _check_dims(f, D)
     feed = BitFeed.of(rng)
-    raw = feed.rng
     n = f.n
     full = (1 << n) - 1
     start = f.counter.snapshot()
@@ -238,13 +262,21 @@ def main_djunta(
             r1 -= 1
             sides = []
             failed = False
-            for e in V:
+            for i, e in enumerate(V):
                 bsz = len(e.coords)
                 pmask = feed.take(bsz)
                 qmask = pmask ^ ((1 << bsz) - 1)
                 res = _where(e.view, pmask, qmask, feed)
                 if res.outcome == "fail":
                     failed = True
+                    # Every field of the round is read all the same: the
+                    # later blocks' split masks and points, the sample, the
+                    # fresh flip bits.
+                    for d in V[i + 1 :]:
+                        for _ in range(3):
+                            feed.take(len(d.coords))
+                    reference_sample(D, feed)
+                    feed.take(n)
                     break
                 if res.outcome == "left":
                     smask, tmask = pmask, qmask
@@ -255,7 +287,7 @@ def main_djunta(
                 vmask = 0
                 for e in V:
                     vmask |= e.mask
-                xb = D.sample_bits(raw)
+                xb = reference_sample(D, feed)
                 fx = f.sample_eval_bits(xb)
                 tfull = feed.take(n) & (full ^ vmask)
                 rmask = tfull
@@ -366,6 +398,20 @@ def _xor_and_table(width):
     return sum(((z & 1) ^ (z >> 1 == ones)) << z for z in range(1 << width))
 
 
+def _affine_table(n, r):
+    """x1 xor [A x' = 0] as a truth table, for x' = (x2..xn) and a fixed
+    random r x (n-1) matrix A over GF(2): every view whose free
+    coordinates leave A at rank r is exactly 2**-r-close to x1."""
+    rng = np.random.default_rng(0)
+    rest = np.arange(1 << n, dtype=np.int64) >> 1
+    on = np.ones(1 << n, dtype=bool)
+    for _ in range(r):
+        on &= (np.bitwise_count(rest & int(rng.integers(1, 1 << (n - 1)))) & 1) == 0
+    bits = ((np.arange(1 << n) & 1) ^ on).astype(np.uint8)
+    table = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    return lambda: FunctionOracle.from_truth_table(n, table)
+
+
 def _cube(n):
     return FiniteDistribution.uniform_cube(n)
 
@@ -387,10 +433,11 @@ _FIXED = [
     # Near-constant blocks of a hard instance fail the halving check.
     ("gen_no n20", _GEN_NO_20.oracle, _GEN_NO_20.D,
      DFTesterConfig(k=1, epsilon=0.5), range(3), "halving_split"),
-    # x1 xor an AND of 13 variables passes as a literal, and a side probe
-    # then lands where the AND term flips with x1.
-    ("xor_and14 table", _junta(14, range(1, 15), _xor_and_table(14)), _cube(14),
-     DFTesterConfig(k=1, epsilon=Fraction(1, 8)), (4,), "where_fail"),
+    # x1 xor [A x' = 0]: a block view with enough free coordinates is
+    # 2**-11-close to x1, passes as a literal, and a side probe then lands
+    # where the affine term flips with x1.
+    ("affine22 table", _affine_table(22, 11), _cube(22),
+     DFTesterConfig(k=1, epsilon=Fraction(1, 8)), (38, 66), "where_fail"),
 ]
 
 
@@ -412,7 +459,7 @@ def test_halving_with_both_endpoints_split():
     """
     n = 14
     x, y = 0b10110011100101, 0b00110011100100
-    g = FunctionOracle.from_truth_table(n, (1 << x) | (1 << 3682) | (1 << 12701))
+    g = FunctionOracle.from_truth_table(n, (1 << x) | (1 << 378) | (1 << 16005))
     cfg = DFTesterConfig(k=2, epsilon=0.5)
     inner = cfg.inner_uniform_cfg()
 

@@ -8,12 +8,14 @@ coordinate.  k+1 of them reject.  The library must give the same verdict,
 witness, query and sample counts, and leave its BitFeed and generator
 where the reference leaves them.
 
+Samples come from the feed too: one n-bit field on the cube, one 64-bit
+draw u on a support, read by `reference_sample`.
+
 The reference tallies in EVENTS a round whose flip bits select a
 coordinate already found (it is left unflipped), a round with nothing
 left to flip, and a round after the first whose flip bits start a new
-8 KiB chunk of the feed, right after its sample was drawn from the
-generator.  The fixed
-cases show that they reach each.
+8 KiB chunk of the feed, right after its sample was drawn from the old
+one.  The fixed cases show that they reach each.
 """
 
 from __future__ import annotations
@@ -50,6 +52,25 @@ CHUNK_BITS = 64 * BitFeed._CHUNK_WORDS
 # the reference
 
 
+def reference_sample(D: FiniteDistribution, feed: BitFeed) -> int:
+    """One point of D: the cube's n-bit field is the point itself; on a
+    support of m points, a 64-bit draw u picks point floor(u * m / 2**64),
+    or, with weights, the first point whose running weight total passes
+    u's top 53 bits as a fraction, the last point with mass if none does."""
+    if D.kind == D.KIND_CUBE:
+        return feed.take(D.n)
+    u = feed.take(64)
+    if D.weights is None:
+        return D.points[u * len(D.points) >> 64]
+    t = (u >> 11) / 2**53
+    total = 0.0
+    for p, w in zip(D.points, D.weights):
+        total += w
+        if t < total:
+            return p
+    return [p for p, w in zip(D.points, D.weights) if w > 0][-1]
+
+
 def reference_simple_djunta(f: FunctionOracle, D: FiniteDistribution, cfg: DFTesterConfig, rng):
     n = f.n
     assert D.n == n
@@ -60,7 +81,7 @@ def reference_simple_djunta(f: FunctionOracle, D: FiniteDistribution, cfg: DFTes
     found = []
 
     for r in range(cfg.simple_rounds):
-        x = D.sample_bits(feed.rng)
+        x = reference_sample(D, feed)
         fx = f.sample_eval_bits(x)
         if r and feed.buffered() < n:
             EVENTS["chunk_start"] += 1
@@ -132,7 +153,7 @@ _FIXED = [
      DFTesterConfig(k=3, epsilon=0.5), range(3), 0, ("masked", "empty")),
     # Round 2's flip bits start a new chunk, drawn after its sample.
     ("gen_no n30", _GEN_NO_30.oracle, _GEN_NO_30.D,
-     DFTesterConfig(k=2, epsilon=Fraction(1, 3)), range(3), -30 * 2 % CHUNK_BITS,
+     DFTesterConfig(k=2, epsilon=Fraction(1, 3)), range(3), -(94 * 2 + 64) % CHUNK_BITS,
      ("masked", "chunk_start")),
     # A weighted support.
     ("junta weighted", _junta(10, (3, 8), 0b0110),
@@ -197,5 +218,6 @@ def test_matches_reference(inst, k, epsilon, seed, align, data):
     offset = 0
     if align:
         # Some round's flip bits start a new chunk of the feed.
-        offset = -n * data.draw(st.integers(0, cfg.simple_rounds - 1)) % CHUNK_BITS
+        r = data.draw(st.integers(0, cfg.simple_rounds - 1))
+        offset = -((D.draw_bits + n) * r + D.draw_bits) % CHUNK_BITS
     _same_as_reference(make, D, cfg, seed, offset)

@@ -1,8 +1,9 @@
 """uniform_junta against a straight-line reference of the paper's rounds.
 
 The reference below runs every round one at a time through the scalar
-`eval_bits`: it keeps the open blocks as coordinate sets, draws x and
-the flip bits from the BitFeed, flips the open coordinates the flip bits
+`eval_bits`: it keeps the open blocks as coordinate sets, draws the
+partition (64 bits a coordinate) and then each round's x and flip bits
+from the BitFeed, flips the open coordinates the flip bits
 select, and block-binary-searches each disagreement down to one open
 block.  It never reads ahead, so it has no batches, no `values` and no
 `peek_block`.  The library must give the same verdict, witness, query and
@@ -56,12 +57,12 @@ def reference_uniform_junta(f: FunctionOracle, cfg: UniformTesterConfig, rng):
     feed = BitFeed.of(rng)
     start = f.counter.snapshot()
 
-    # Partition 1..n into random blocks, listed by their smallest coordinate.
-    assignment = feed.rng.integers(0, cfg.num_blocks, size=n)
+    # Partition 1..n into random blocks, listed by block id: coordinate c
+    # takes id floor(u * num_blocks / 2**64) of its own 64-bit draw u.
     members: dict[int, list[int]] = {}
     for c in range(1, n + 1):
-        members.setdefault(int(assignment[c - 1]), []).append(c)
-    open_blocks = [frozenset(b) for b in members.values()]
+        members.setdefault(feed.take(64) * cfg.num_blocks >> 64, []).append(c)
+    open_blocks = [frozenset(members[b]) for b in sorted(members)]
     relevant: set[int] = set()
     found = []
 
@@ -139,7 +140,7 @@ def _same_as_reference(make, cfg, seed, offset=0) -> Counter:
 
 def _aligned(n, r):
     """Feed bits to pre-consume so that round r starts on a chunk boundary."""
-    return -2 * n * r % CHUNK_BITS
+    return -(64 * n + 2 * n * r) % CHUNK_BITS
 
 
 def _parity(k):
@@ -177,7 +178,7 @@ _FIXED = [
     # One point in 128 is 1: disagreements are rare and land anywhere in
     # a batch, also on its last row.
     ("sparse7 n20", _junta(20, range(1, 8), _sparse_table((5,))),
-     UniformTesterConfig(k=1, epsilon=Fraction(1, 8)), (4, 39), 0, ("last_row",)),
+     UniformTesterConfig(k=1, epsilon=Fraction(1, 8)), (4, 48), 0, ("last_row",)),
     # A constant at n = 64: no round ever disagrees.  Rounds 88 and 600
     # start on a chunk boundary, so the batch before each is cut short by
     # the buffer and the next one starts on the boundary; 5 bits later,
