@@ -110,21 +110,21 @@ def rand_bits(rng, nbits: int) -> int:
 class BitFeed:
     """Buffered uniform bits pulled from a numpy Generator in big chunks.
 
-    The testers draw random subsets in tight loops; one generator call per
-    draw is the dominant cost there, so the feed pre-draws 8 KiB at a time
-    and hands out slices.  take(nb) returns the next nb bits as an int,
-    consuming the stream in order; for a fixed seed the stream, and hence
-    the whole run, is reproducible.
+    Every random draw of the testers goes through one feed: D's samples,
+    the uniform tester's partition, the side probes' points and every flip
+    set.  take(nb) returns the next nb bits as an int, consuming the
+    stream in order, so a fixed seed fixes the whole run.  Nothing else
+    reads the generator, so the 8 KiB chunk the feed pre-draws is a pure
+    speed knob: any chunk size hands out the same stream.
 
-    Batched loops read ahead with peek_block(), which returns already
-    buffered bits as a word array without consuming them, and then skip()
-    exactly the bits they used.  Neither touches the generator, so a
-    peek_block/skip pair leaves the feed, and `rng` for callers that draw
-    from it directly, where the same bits taken by take() would.
+    Batched loops read ahead with peek_bits() or peek_block(), which return
+    already buffered bits without consuming them, and then skip() exactly
+    the bits they used.  Neither touches the generator, so a peek/skip
+    pair leaves the feed where the same bits taken by take() would.
 
     Invariant: the `_rembits` bits held in `_rem` are the top `_rembits`
     bits of `_arr[_i - 1]`, so the next unread bit of the stream is bit
-    64*_i - _rembits of the chunk, and peek_block reads from there.
+    64*_i - _rembits of the chunk, and peek_bits reads from there.
     """
 
     __slots__ = ("rng", "_words", "_arr", "_i", "_rem", "_rembits")
@@ -153,9 +153,17 @@ class BitFeed:
                 self._arr = np.frombuffer(raw, dtype="<u8")
                 self._words = self._arr.tolist()
                 self._i = 0
-            v |= self._words[self._i] << have
-            self._i += 1
-            have += 64
+            i = self._i
+            if nbits - have <= 64:
+                v |= self._words[i] << have
+                self._i = i + 1
+                have += 64
+            else:
+                # Many words at once: one int from the chunk's bytes.
+                j = min(len(self._words), i + ((nbits - have + 63) >> 6))
+                v |= int.from_bytes(self._arr[i:j].tobytes(), "little") << have
+                self._i = j
+                have += 64 * (j - i)
         self._rem = v >> nbits
         self._rembits = have - nbits
         return v & ((1 << nbits) - 1)
@@ -164,27 +172,28 @@ class BitFeed:
         """Bits that take() can hand out before it next calls the generator."""
         return self._rembits + 64 * (len(self._words) - self._i)
 
-    def peek_block(self, width: int, rows: int) -> np.ndarray:
-        """The next `rows` fields of `width` bits each, left unconsumed.
+    def peek_bits(self, width: int, rows: int) -> np.ndarray:
+        """The next `rows` fields of `width` bits each, left unconsumed, one
+        bit per uint8: entry [j, t] is stream bit j*width + t.
 
-        Row j holds stream bits [j*width, (j+1)*width) as little-endian
-        uint64 words, shape (rows', ceil(width/64)), with the unused high
-        bits of the last word zero: the value take(width) would return for
-        that field.  Only buffered bits are read, so rows' is
-        min(rows, buffered() // width) and may be 0.
+        Only buffered bits are read, so the shape is (rows', width) with
+        rows' = min(rows, buffered() // width), which may be 0.
         """
         if width < 1:
             raise ContractError(f"need width >= 1, got {width}")
         rows = max(0, min(rows, self.buffered() // width))
-        wc = (width + 63) >> 6
         nbits = rows * width
         p = 64 * self._i - self._rembits
         bits = np.unpackbits(
             self._arr.view(np.uint8)[p >> 3 : (p + nbits + 7) >> 3], bitorder="little"
         )
-        fields = np.zeros((rows, 64 * wc), dtype=np.uint8)
-        fields[:, :width] = bits[p & 7 : (p & 7) + nbits].reshape(rows, width)
-        return np.packbits(fields, axis=1, bitorder="little").view("<u8")
+        return bits[p & 7 : (p & 7) + nbits].reshape(rows, width)
+
+    def peek_block(self, width: int, rows: int) -> np.ndarray:
+        """peek_bits(width, rows) packed by pack_rows: row j holds field j
+        as little-endian uint64 words, shape (rows', ceil(width/64)), the
+        value take(width) would return for it."""
+        return pack_rows(self.peek_bits(width, rows))
 
     def skip(self, nbits: int) -> None:
         """Consume nbits buffered bits, as take(nbits) would, unread."""
@@ -203,6 +212,16 @@ class BitFeed:
         else:
             self._rem = 0
             self._rembits = 0
+
+
+def scale_draws(u: np.ndarray, m: int) -> np.ndarray:
+    """floor(u * m / 2**64), the index in range(m) that a 64-bit draw picks,
+    for every u of a uint64 array and 1 <= m < 2**32.  Exact: with
+    u = hi * 2**32 + lo it is (hi*m + (lo*m >> 32)) >> 32, no term past 2**64."""
+    if not 1 <= m < 1 << 32:
+        raise ContractError(f"need 1 <= m < 2**32, got {m}")
+    m, s = np.uint64(m), np.uint64(32)
+    return ((u >> s) * m + (((u & np.uint64(0xFFFFFFFF)) * m) >> s)) >> s
 
 
 def ceil_log2(m: int) -> int:
@@ -322,6 +341,17 @@ def rows_of(points: Sequence[int], n: int) -> np.ndarray:
     nwords = (n + 63) >> 6
     raw = b"".join(p.to_bytes(8 * nwords, "little") for p in points)
     return np.frombuffer(raw, dtype="<u8").reshape(len(points), nwords)
+
+
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Rows of 0/1 uint8 entries as a word array: entry [j, t] becomes bit
+    t of row j, in ceil(width/64) little-endian uint64 words per row."""
+    rows, width = bits.shape
+    nwords = (width + 63) >> 6
+    fields = np.zeros((rows, 64 * nwords), dtype=np.uint8)
+    fields[:, :width] = bits
+    # Packed flat: numpy packs one long run much faster than row by row.
+    return np.packbits(fields, bitorder="little").view("<u8").reshape(rows, nwords)
 
 
 def gather_rows(X: np.ndarray, coords: Sequence[int]) -> np.ndarray:
@@ -618,13 +648,16 @@ def verdict_from_json(doc: dict, n: int) -> Verdict:
     outcome = doc["outcome"]
     if outcome not in ("accept", "reject"):
         raise ContractError(f"outcome must be 'accept' or 'reject', got {outcome!r}")
+    entries = json_list(doc.get("witness", []), "witness")
+    if any(type(e) is not dict for e in entries):
+        raise ContractError("witness entry must be an object")
     witness = tuple(
         DistinguishingPair(
             BitString(n, hex_to_bits(e["x"], n)),
             BitString(n, hex_to_bits(e["y"], n)),
-            frozenset(json_int(c, "block entry") for c in e["block"]),
+            frozenset(json_int(c, "block entry") for c in json_list(e["block"], "block")),
         )
-        for e in doc.get("witness", [])
+        for e in entries
     )
     return Verdict(
         outcome, witness, json_int(doc["queries"], "queries"), json_int(doc["samples"], "samples")

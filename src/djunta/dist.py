@@ -2,8 +2,9 @@
 
 Distance between functions is always measured against one of these, so they
 stay deliberately small: either the uniform distribution over the whole cube
-or an explicit weighted support.  Sampling uses cumulative-weight inversion
-on a seeded generator; a run is reproducible from its seed alone.
+or an explicit weighted support.  Sampling reads a fixed-width field of a
+BitFeed (or draws from a numpy Generator) and inverts the cumulative
+weights; a run is reproducible from its seed alone.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BitString, bits_to_hex, check_width, hex_to_bits, json_int, json_list, rand_bits
+from .boolfn import (
+    BitFeed, BitString, bits_to_hex, check_width, hex_to_bits, json_int, json_list, rand_bits,
+    rows_of, scale_draws,
+)
 from .errors import ContractError, DimensionError, EmptyDomainError
 
 _WEIGHT_TOL = 1e-9
@@ -39,6 +43,8 @@ class FiniteDistribution:
     points: tuple[int, ...] | None = None
     weights: tuple[float, ...] | None = None
     _cum: np.ndarray | None = field(default=None, compare=False)
+    #: The support points as rows_of words, built by the first sample_rows.
+    _rows: list = field(default_factory=list, compare=False)
 
     def __repr__(self):
         if self.kind == self.KIND_CUBE:
@@ -81,6 +87,9 @@ class FiniteDistribution:
             if abs(total - 1.0) > _WEIGHT_TOL:
                 raise ContractError(f"weights must sum to 1, got {total!r}")
             cum = np.cumsum(np.asarray(ws, dtype=np.float64))
+            # Round-off can leave the sum just below a draw: the last point
+            # with mass takes everything above it, never a zero-weight one.
+            cum[max(j for j, w in enumerate(ws) if w > 0) :] = np.inf
         return cls(n, cls.KIND_SUPPORT, pts, ws, cum)
 
     # -- queries
@@ -114,17 +123,51 @@ class FiniteDistribution:
 
     # -- sampling
 
+    @property
+    def draw_bits(self) -> int:
+        """Width of the BitFeed field one sample reads: n on the cube, 64 on
+        a support."""
+        return self.n if self.kind == self.KIND_CUBE else 64
+
     def sample_bits(self, rng) -> int:
-        if self.kind == self.KIND_CUBE:
+        """One point drawn from D, from a BitFeed or a numpy Generator.
+
+        From a feed, a sample reads one field of `draw_bits` bits: the
+        point itself on the cube; on a support, a 64-bit draw u.  A uniform
+        support of m points takes point floor(u * m / 2**64), whose
+        probability is within 2**-64 of 1/m, so the bias summed over the
+        support stays below m / 2**64.  A weighted support inverts the
+        cumulative weights at (u >> 11) / 2**53, a float in [0, 1).
+        """
+        if isinstance(rng, BitFeed):
+            u = rng.take(self.draw_bits)
+            if self.kind == self.KIND_CUBE:
+                return u
+            if self.weights is None:
+                return self.points[(u * len(self.points)) >> 64]
+            t = (u >> 11) * 2.0**-53
+        elif self.kind == self.KIND_CUBE:
             return rand_bits(rng, self.n)
-        if self.weights is None:
+        elif self.weights is None:
             return self.points[int(rng.integers(0, len(self.points)))]
-        i = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        if i >= len(self.points):
-            # Round-off left the cumulative sum below the draw: take the
-            # last point that has mass, never a zero-weight one.
-            i = max(j for j, w in enumerate(self.weights) if w > 0)
-        return self.points[i]
+        else:
+            t = rng.random()
+        return self.points[int(np.searchsorted(self._cum, t, side="right"))]
+
+    def sample_rows(self, fields: np.ndarray) -> np.ndarray:
+        """sample_bits on a batch of feed fields: row j of `fields` holds
+        one `draw_bits`-wide field as words (as BitFeed.peek_block gives
+        it), row j of the result the point it picks, as rows_of words."""
+        if self.kind == self.KIND_CUBE:
+            return fields
+        u = fields[:, 0]
+        if self.weights is None:
+            idx = scale_draws(u, len(self.points))
+        else:
+            idx = np.searchsorted(self._cum, (u >> np.uint64(11)) * 2.0**-53, side="right")
+        if not self._rows:
+            self._rows.append(rows_of(self.points, self.n))
+        return self._rows[0][idx]
 
     def sample(self, rng) -> BitString:
         return BitString(self.n, self.sample_bits(rng))

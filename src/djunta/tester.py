@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
+import numpy as np
+
 from .boolfn import (
     BitFeed,
     BitString,
@@ -39,6 +41,7 @@ from .boolfn import (
     gather_bits,
     make_restriction_backend,
     mask_of,
+    pack_rows,
     scatter_bits,
 )
 from .dist import FiniteDistribution
@@ -71,13 +74,13 @@ _FAIL = WhereResult("fail")
 
 
 def _where(g: FunctionOracle, lmask: int, rmask: int, feed: BitFeed) -> WhereResult:
-    # Each side check flips the whole side at a fresh uniform point; an
-    # empty side can never pass and is skipped without spending queries.
+    # Each side check flips the whole side at its own point, both drawn
+    # first; an empty side can never pass and is skipped without queries.
     n = g.n
+    ab = feed.take(2 * n)
     value = g.backend.value
-    for side, mask in (("left", lmask), ("right", rmask)):
+    for side, mask, a in (("left", lmask, ab & ((1 << n) - 1)), ("right", rmask, ab >> n)):
         if mask:
-            a = feed.take(n)
             fa = value(a)
             fb = value(a ^ mask)
             g.counter.queries += 2
@@ -92,10 +95,13 @@ def where_is_the_literal(
     """Probe which of two halves of g's domain holds the controlling variable.
 
     `left` and `right` must partition coordinates 1..g.n; either may be
-    empty.  Makes at most 4 queries.  If g is gamma-close to a literal
-    under the uniform distribution, the side containing that variable is
-    returned with probability at least 1 - 4*gamma.  Any other outcome
-    than "fail" comes with a point x and the named side's mask, with
+    empty.  Always draws two uniform points, the left then the right
+    one, before it checks either side: at most 4 queries.  If g is
+    gamma-close to a literal under the uniform distribution, the side
+    containing that variable is returned with probability at least
+    1 - 4*gamma (the points are independent, so drawing both changes no
+    bound).  Any other outcome than "fail" comes with a point x and the
+    named side's mask, with
     g(x) = fx != fy = g(x ^ mask): a distinguishing pair for that side.
     "fail" is an ordinary outcome (always, for instance, when g is
     constant).
@@ -214,12 +220,11 @@ def simple_djunta(
     disagreement down to one new relevant coordinate.  k+1 distinct
     coordinates force rejection; the witness is their k+1 singleton
     blocks.  Query count is capped by cfg.simple_query_ceiling(n).  `rng`,
-    a numpy Generator, is the run's only source of randomness: it draws
-    the samples from D and feeds the flip sets.
+    a numpy Generator or a BitFeed over one, is the run's only source of
+    randomness: a round reads its sample of D, then its n flip bits.
     """
     _check_dims(f, D)
     feed = BitFeed.of(rng)
-    raw = feed.rng
     n = f.n
     full = (1 << n) - 1
     start = f.counter.snapshot()
@@ -227,7 +232,7 @@ def simple_djunta(
     found: list[DistinguishingPair] = []
 
     for _ in range(cfg.simple_rounds):
-        xb = D.sample_bits(raw)
+        xb = D.sample_bits(feed)
         fx = f.sample_eval_bits(xb)
         rmask = feed.take(n) & (full ^ imask)
         if rmask == 0:
@@ -302,6 +307,62 @@ class _Entry:
         return out
 
 
+#: A search round's layout depends on V, so after V changes main_djunta
+#: runs this many search rounds one at a time before it batches, as
+#: uniform_junta does after its first rounds.
+_SCALAR_ROUNDS = 32
+
+#: Most rounds one batch reads.  A block's probe points take 256 bytes a
+#: round while they are packed, so this keeps each of a batch's arrays
+#: near 32 KiB, however many rounds the feed holds.
+_BATCH_ROWS = 128
+
+
+def _quiet_search_rounds(
+    f: FunctionOracle, D: FiniteDistribution, V: list[_Entry], feed: BitFeed, asked: int
+) -> tuple[int, bool]:
+    """Charge and skip the quiet search rounds the feed holds, up to
+    min(asked, _BATCH_ROWS), and say whether a disagreeing round follows.
+
+    Per block of V, one `values` call takes its view's left and right
+    points, flipped and unflipped; then one takes f's x and y rows.  A
+    round whose side probe fails is charged the probes up to that block
+    and no sample.  The disagreeing round stays in the feed for the
+    scalar search round.
+    """
+    n = f.n
+    width = 3 * sum(len(e.coords) for e in V) + D.draw_bits + n
+    B = feed.peek_bits(width, min(asked, _BATCH_ROWS))
+    rows = len(B)
+    if not rows:
+        return 0, False
+    passed = np.ones(rows, dtype=bool)  # every block so far named a side
+    probes = np.zeros(rows, dtype=np.int64)
+    flips = B[:, width - n :].copy()  # V's coordinates are overwritten below
+    at = 0
+    for e in V:
+        b = len(e.coords)
+        P, A, C = B[:, at : at + b], B[:, at + b : at + 2 * b], B[:, at + 2 * b : at + 3 * b]
+        at += 3 * b
+        v = e.view.backend.values(pack_rows(np.concatenate((A, A ^ P, C, C ^ P ^ 1)))).reshape(4, rows)
+        lprobe = P.any(axis=1)
+        left = lprobe & (v[0] != v[1])
+        rprobe = ~left & ~P.all(axis=1)
+        probes += passed * (2 * lprobe + 2 * rprobe)
+        passed &= left | (rprobe & (v[2] != v[3]))
+        # Flip the half judged free of the controlling variable.
+        flips[:, np.subtract(e.coords, 1)] = P ^ left[:, None]
+    X = D.sample_rows(pack_rows(B[:, at : width - n]))
+    live = passed & flips.any(axis=1)
+    v = f.backend.values(np.concatenate((X, X ^ pack_rows(flips))))
+    hit = np.flatnonzero(live & (v[:rows] != v[rows:]))
+    quiet = int(hit[0]) if len(hit) else rows
+    f.counter.queries += int(probes[:quiet].sum()) + int(np.count_nonzero(live[:quiet]))
+    f.counter.samples += int(np.count_nonzero(passed[:quiet]))
+    feed.skip(quiet * width)
+    return quiet, quiet < rows
+
+
 def main_djunta(
     f: FunctionOracle, D: FiniteDistribution, cfg: DFTesterConfig, rng
 ) -> Verdict:
@@ -320,11 +381,16 @@ def main_djunta(
 
     Budgets come from cfg (search_rounds, verify_rounds); the total spend
     is capped by cfg.main_query_ceiling(), which does not involve n.
-    `rng`, a numpy Generator, is the run's only source of randomness.
+    `rng`, a numpy Generator or a BitFeed over one, is the run's only
+    source of randomness.  A search round reads the same fields whatever
+    happens in it: per block of V a split mask and two points, then D's
+    sample field and n flip bits.  So once V has been steady for
+    _SCALAR_ROUNDS rounds, batches can fast-forward through the quiet
+    rounds, and verdicts, counts and the stream stay those of a
+    round-by-round run.
     """
     _check_dims(f, D)
     feed = BitFeed.of(rng)
-    raw = feed.rng
     n = f.n
     full = (1 << n) - 1
     start = f.counter.snapshot()
@@ -334,20 +400,32 @@ def main_djunta(
     U: deque[_Entry] = deque()
     r1 = cfg.search_rounds
     r2 = cfg.verify_rounds
+    steady = 0  # search rounds run since V last changed
 
     while r1 > 0 and r2 > 0:
         if not U:
+            if steady >= _SCALAR_ROUNDS:
+                quiet, hit = _quiet_search_rounds(f, D, V, feed, min(steady, r1))
+                r1 -= quiet
+                steady += quiet
+                if quiet and not hit:
+                    continue
+                # The next round disagrees, or the buffer ends inside it:
+                # either way it runs below.
             # Search round: try to grow the pool by one block.  Candidates
             # are (flip mask, (entry, side probe) or None) in search order.
             r1 -= 1
+            steady += 1
             cands = []
             vmask = rmask = 0
-            for e in V:
+            for i, e in enumerate(V):
                 bsz = len(e.coords)
                 bfull = (1 << bsz) - 1
                 pmask = feed.take(bsz)
                 w = _where(e.view, pmask, pmask ^ bfull, feed)
                 if w.outcome == "fail":
+                    # The round's remaining fields are read all the same.
+                    feed.take(3 * sum(len(d.coords) for d in V[i + 1 :]) + D.draw_bits + n)
                     break
                 # Flip the half judged free of the controlling variable.
                 tmask = e.scatter(w.mask ^ bfull)
@@ -356,7 +434,7 @@ def main_djunta(
                 if tmask:
                     cands.append((tmask, (e, w)))
             else:
-                xb = D.sample_bits(raw)
+                xb = D.sample_bits(feed)
                 fx = f.sample_eval_bits(xb)
                 fresh = feed.take(n) & (full ^ vmask)
                 if fresh:
@@ -374,6 +452,7 @@ def main_djunta(
                         e, w = side
                         U.append(e.lift(f, full, w.x, w.x ^ w.mask, w.mask, w.fx, w.fy))
                         V.remove(e)
+                        steady = 0
                     U.append(_Entry(f, full, mask, res.pair.x.bits, res.pair.y.bits, res.fx, res.fy))
         else:
             # Verify round: settle the oldest doubtful block.
@@ -385,6 +464,7 @@ def main_djunta(
             res = _literal(e.view, xpos, ypos, labels, cfg, inner, feed)
             if res.is_literal:
                 V.append(e)
+                steady = 0
             else:
                 for part in res.parts:
                     U.append(e.lift(f, full, *part))

@@ -27,9 +27,11 @@ from .boolfn import (
     DistinguishingPair,
     FunctionOracle,
     Verdict,
-    block_of,
     ceil_log2,
+    coords_of,
+    mask_of,
     rows_of,
+    scale_draws,
 )
 from .errors import BudgetError, ContractError
 from .search import block_binary_search
@@ -155,10 +157,12 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
     Generator or a BitFeed over one, is the run's only source of
     randomness.
 
-    A round draws x and a flip set, n bits each, from the feed and costs
-    two queries when the flip set is nonempty.  Every round that finds a
-    disagreement runs one at a time through the backend's `value`, and
-    every split happens there.  After the first rounds, a batch reads at
+    The call first draws its partition, 64 bits a coordinate.  A round
+    then draws x and a flip set, n bits each, from the feed and costs two
+    queries when the flip set, cut down to the open blocks, is nonempty.
+    Every round that finds a disagreement runs one at a time through the
+    backend's `value`, and every split happens there.  After the first
+    rounds, a batch reads at
     most as many of the feed's buffered rounds ahead as the call has
     already run, and evaluates them, x rows and y rows together, in one
     `values` call; so the rows it evaluates past its first disagreeing
@@ -170,19 +174,17 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
     """
     n = f.n
     feed = BitFeed.of(rng)
-    raw = feed.rng
     start = f.counter.snapshot()
 
-    # One random partition for the whole run: coordinate -> block id.
-    by_id: dict[int, int] = {}
-    for c, bid in enumerate(raw.integers(0, cfg.num_blocks, size=n).tolist()):
-        by_id[bid] = by_id.get(bid, 0) | 1 << c
-    open_masks = list(by_id.values())
-    open_union = (1 << n) - 1
+    # One random partition for the whole run: coordinate c + 1 goes to
+    # block ids[c], scale_draws of the c-th 64-bit draw.
+    u = np.frombuffer(feed.take(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
+    ids = scale_draws(u, cfg.num_blocks)
+    full = (1 << n) - 1
+    open_union = full
     open_row = rows_of((open_union,), n)
 
     found: list[DistinguishingPair] = []
-    relevant_union = 0
     backend = f.backend
     value = backend.value
     counter = f.counter
@@ -196,11 +198,11 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
             if rows:
                 xs = block[0 : 2 * rows : 2]
                 R = block[1 : 2 * rows : 2] & open_row
-                live = R.any(axis=1)
                 v = backend.values(np.concatenate((xs, xs ^ R)))
-                hit = np.flatnonzero(live & (v[:rows] != v[rows:]))
+                # A round with no flip has y = x, so it never disagrees.
+                hit = (v[:rows] != v[rows:]).nonzero()[0]
                 quiet = int(hit[0]) if len(hit) else rows
-                counter.queries += 2 * int(np.count_nonzero(live[:quiet]))
+                counter.queries += 2 * int(np.count_nonzero(R[:quiet].any(axis=1)))
                 feed.skip(2 * n * quiet)
                 done += quiet
                 if quiet == rows:
@@ -209,8 +211,9 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
             # it pulls the next chunk from the generator: either way it
             # runs below, one round at a time.
         done += 1
-        xb = feed.take(n)
-        rmask = feed.take(n) & open_union
+        xr = feed.take(2 * n)
+        xb = xr & full
+        rmask = (xr >> n) & open_union
         if rmask == 0:
             continue
         yb = xb ^ rmask
@@ -219,21 +222,24 @@ def uniform_junta(f: FunctionOracle, cfg: DFTesterConfig, rng) -> Verdict:
         counter.queries += 2
         if fx == fy:
             continue
-        # Pin one relevant block behind the disagreement.
-        assert rmask & relevant_union == 0
-        probe_at = [t for t, m in enumerate(open_masks) if m & rmask]
+        # Pin one relevant block behind the disagreement: the candidates
+        # are the open blocks rmask touches, by id, cut down to rmask.
+        flipped = coords_of(rmask)
+        parts: dict[int, list[int]] = {}
+        for c, t in zip(flipped, ids[np.subtract(flipped, 1)].tolist()):
+            parts.setdefault(t, []).append(c)
+        touched = sorted(parts)
         res = block_binary_search(
             f,
             BitString(n, xb),
             BitString(n, yb),
-            [block_of(open_masks[t] & rmask) for t in probe_at],
+            [frozenset(parts[t]) for t in touched],
             fx=fx,
         )
-        full = open_masks.pop(probe_at[res.index])
-        open_union ^= full
+        block = frozenset((np.flatnonzero(ids == touched[res.index]) + 1).tolist())
+        open_union ^= mask_of(block)
         open_row = rows_of((open_union,), n)
-        relevant_union |= full
-        found.append(DistinguishingPair(res.pair.x, res.pair.y, block_of(full)))
+        found.append(DistinguishingPair(res.pair.x, res.pair.y, block))
         if len(found) > cfg.k:
             return close_run(f, start, cfg.query_ceiling(), "uniform_junta", tuple(found))
     return close_run(f, start, cfg.query_ceiling(), "uniform_junta")

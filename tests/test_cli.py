@@ -437,6 +437,26 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(e.startswith("error: parse:") for e in err)
 
+    @pytest.mark.parametrize(
+        "witness, field",
+        [
+            ("abc", "witness must be an array"),
+            ({"a": 1}, "witness must be an array"),
+            ([["00", "01"]], "witness entry must be an object"),
+            ([{"block": "1", "x": "00", "y": "01"}], "block must be an array"),
+            ([{"block": {"1": 1}, "x": "00", "y": "01"}], "block must be an array"),
+        ],
+    )
+    def test_mistyped_witness_names_the_field(self, tmp_path, capsys, witness, field):
+        f, w = tmp_path / "f.json", tmp_path / "w.json"
+        f.write_text(json.dumps({"kind": "junta", "n": 8, "junta_vars": [1], "table": "2"}))
+        doc = {"outcome": "reject", "queries": 2, "samples": 0, "witness": witness}
+        w.write_text(json.dumps(doc))
+        assert run("verify", "--in", f, "--witness", w) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: parse:") and err.count("\n") == 1
+        assert field in err
+
     def test_usage_exit_from_argparse(self, capsys):
         assert run("test", "--tester", "simple") == 2
         err = capsys.readouterr().err

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from djunta import BitString, FiniteDistribution
+from djunta import BitFeed, BitString, FiniteDistribution
+from djunta.boolfn import rows_of, scale_draws
 from djunta.errors import ContractError, DimensionError, EmptyDomainError
 
 
@@ -112,6 +113,75 @@ def test_weighted_sampling_never_returns_zero_mass():
     assert D.sample_bits(_FixedDraw(1 - 2**-53)) == 9
     # Draws that do not overshoot are unchanged.
     assert [D.sample_bits(_FixedDraw(u)) for u in (0.0, 0.05, 0.15, 0.95)] == [0, 0, 1, 9]
+
+
+class _Words(BitFeed):
+    """A feed whose take(64) hands out the given 64-bit words in order."""
+
+    def __init__(self, words):
+        super().__init__(None)
+        self.words = list(words)
+
+    def take(self, nbits):
+        assert nbits == 64
+        return self.words.pop(0)
+
+
+def _boundary_draws(m, rng, js):
+    """For each j, the first draw that picks index j, ceil(j * 2**64 / m),
+    and the one before it; plus the ends of the range and random draws."""
+    firsts = [-(-j * 2**64 // m) for j in js]
+    us = {0, 2**64 - 1, *firsts, *(u - 1 for u in firsts)}
+    us |= set(rng.integers(0, 2**64, size=20, dtype=np.uint64).tolist())
+    return sorted(u for u in us if 0 <= u < 2**64)
+
+
+def test_index_maps_agree_exactly():
+    # floor(u * m / 2**64) in Python ints against scale_draws' 32-bit
+    # halves, at every index boundary, for every m in 1..300 and for the
+    # largest m it takes.
+    rng = np.random.default_rng(0)
+    for m in [*range(1, 301), 2**32 - 1]:
+        js = range(1, m) if m <= 300 else [*range(1, 300), *range(m - 300, m), 1 << 31]
+        us = _boundary_draws(m, rng, js)
+        assert scale_draws(np.array(us, dtype=np.uint64), m).tolist() == [u * m >> 64 for u in us]
+    with pytest.raises(ContractError):
+        scale_draws(np.zeros(1, dtype=np.uint64), 2**32)
+
+
+def test_sample_bits_and_sample_rows_agree():
+    # A support's scalar draw from a feed and its batched draw from the
+    # same 64-bit words pick the same points, uniform or weighted.
+    rng = np.random.default_rng(1)
+    for m in [1, 2, 3, 7, 64, 100, 255, 300]:
+        pts = list(range(m))
+        w = rng.random(m) + 0.01
+        for D in (FiniteDistribution.support(9, pts),
+                  FiniteDistribution.support(9, pts, [float(v) for v in w / w.sum()])):
+            us = _boundary_draws(m, rng, range(1, m))
+            want = [D.sample_bits(_Words([u])) for u in us]
+            rows = D.sample_rows(np.array(us, dtype=np.uint64)[:, None])
+            assert (rows == rows_of(want, 9)).all()
+            if D.weights is None:
+                assert want == [u * m >> 64 for u in us]
+    cube = FiniteDistribution.uniform_cube(70)
+    feed = BitFeed(np.random.default_rng(2))
+    feed.take(3)  # fills the buffer
+    block = feed.peek_block(70, 5)
+    assert (cube.sample_rows(block) == rows_of([cube.sample_bits(feed) for _ in range(5)], 70)).all()
+
+
+def test_feed_draws_never_return_zero_mass():
+    # As above, for feed draws: a draw whose top 53 bits read 1 - 2**-53
+    # overshoots the cumulative sum, and both the scalar and the batched
+    # draw must land on the last point with mass, not on the trailing
+    # zero-weight one.
+    D = FiniteDistribution.support(4, tuple(range(11)), weights=[0.1] * 10 + [0.0])
+    top = (2**53 - 1) << 11
+    ts = [top, top | 2**11 - 1, *(int(t * 2**53) << 11 for t in (0.0, 0.05, 0.15, 0.95))]
+    want = [9, 9, 0, 0, 1, 9]
+    assert [D.sample_bits(_Words([u])) for u in ts] == want
+    assert D.sample_rows(np.array(ts, dtype=np.uint64)[:, None])[:, 0].tolist() == want
 
 
 def test_json_round_trip():

@@ -126,7 +126,7 @@ def test_golden_grid():
 
 
 def test_readme_quick_start_counts():
-    assert json.loads(GOLDEN.read_text())["readme/quick_start"] == ["accept", 44548, 768]
+    assert json.loads(GOLDEN.read_text())["readme/quick_start"] == ["accept", 43996, 768]
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from djunta import (
+    BitFeed,
     BitString,
     DFTesterConfig,
     DistinguishingPair,
@@ -18,6 +21,7 @@ from djunta import (
 )
 from djunta.boolfn import mask_of, scatter_bits
 from djunta.errors import BudgetError, ContractError, DimensionError
+from djunta import tester
 from djunta.tester import _Entry
 
 
@@ -183,7 +187,7 @@ class TestLiteral:
             res = literal(h, pair, cfg, np.random.default_rng(0))
             assert not res.is_literal
             # a halving round queries both endpoints' four points before judging
-            assert h.counter.snapshot() == (7179, 0)
+            assert h.counter.snapshot() == (7176, 0)
             masks = [part.mask for part in res.parts]
             assert masks[0] ^ masks[1] == (1 << n) - 1  # the two halves of one split
             for part in res.parts:
@@ -354,3 +358,108 @@ class TestMain:
                 assert child.xb == ctx | scatter_bits(x, coords)
                 assert child.yb == ctx | scatter_bits(y, coords)
                 assert (child.fx, child.fy) == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# main_djunta's batched search rounds against the round-by-round loop
+
+
+def _affine_table(n, r):
+    """x1 xor [A x' = 0] for x' = (x2..xn) and a fixed random r x (n-1)
+    matrix A over GF(2): a block view that leaves A at rank r is exactly
+    2**-r-close to x1, so it passes as a literal and its side probes
+    fail now and then."""
+    rng = np.random.default_rng(0)
+    rest = np.arange(1 << n, dtype=np.int64) >> 1
+    on = np.ones(1 << n, dtype=bool)
+    for _ in range(r):
+        on &= (np.bitwise_count(rest & int(rng.integers(1, 1 << (n - 1)))) & 1) == 0
+    bits = ((np.arange(1 << n) & 1) ^ on).astype(np.uint8)
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _main_batch_cases():
+    """(name, oracle factory, distribution, config, seeds)."""
+    rng = np.random.default_rng(23)
+    weighted = sorted({rand_bits(rng, 40) for _ in range(50)})
+    w = rng.random(len(weighted)) + 0.01
+    affine = FunctionOracle.from_truth_table(22, _affine_table(22, 11))
+    wide = sorted({rand_bits(rng, 150) for _ in range(80)})
+    return [
+        # Nothing is ever found: V stays empty and every round batches.
+        ("constant n64", FunctionOracle.from_junta(64, (1,), 0).fork,
+         FiniteDistribution.uniform_cube(64), DFTesterConfig(k=2, epsilon=0.5), (0, 1)),
+        # A side probe of the vetted x1 block fails inside a batch.
+        ("affine22", affine.fork, FiniteDistribution.uniform_cube(22),
+         DFTesterConfig(k=1, epsilon=1 / 8), (38,)),
+        ("junta weighted", FunctionOracle.from_junta(40, (3, 9, 31), 0b10010110).fork,
+         FiniteDistribution.support(40, weighted, [float(v) for v in w / w.sum()]),
+         DFTesterConfig(k=3, epsilon=1 / 3), (0, 1, 2)),
+        # Points of three words, on the cube and on a support.
+        ("junta n150", FunctionOracle.from_junta(150, (2, 70, 140), 0b01101001).fork,
+         FiniteDistribution.uniform_cube(150), DFTesterConfig(k=3, epsilon=1 / 3), (0, 1)),
+        ("junta n150 support", FunctionOracle.from_junta(150, (2, 70, 140), 0b01101001).fork,
+         FiniteDistribution.support(150, wide), DFTesterConfig(k=3, epsilon=1 / 3), (0, 1)),
+        # One 1 among 2**7 points: disagreements are rare, and on seed 7
+        # one lands on a batch's first row.
+        ("sparse7 n24", FunctionOracle.from_junta(24, range(1, 8), 1 << 5).fork,
+         FiniteDistribution.uniform_cube(24), DFTesterConfig(k=4, epsilon=0.5), (7,)),
+    ]
+
+
+def test_batched_search_rounds_match_scalar_rounds(monkeypatch):
+    """Verdicts, witnesses, counts and the feed's state after the call are
+    those of the round-by-round loop, which runs when batching is off.  A
+    spy on the batches checks that every case reaches one, and tallies
+    the shapes a fast-forwarding batch has to get right: an empty V, a
+    disagreement on the first row, a batch cut short by the buffer (the
+    next round straddles a chunk).  A side probe that fails inside a
+    batch shows as a fail in the scalar run that `_where` never sees in
+    the batched one."""
+    seen = Counter()
+
+    def spy(f, D, V, feed, asked, _batch=tester._quiet_search_rounds):
+        want = min(asked, tester._BATCH_ROWS)
+        got = min(want, feed.buffered() // (3 * sum(len(e.coords) for e in V) + D.draw_bits + f.n))
+        quiet, hit = _batch(f, D, V, feed, asked)
+        seen["batch"] += got > 0
+        seen["empty V"] += got > 0 and not V
+        seen["first row"] += hit and quiet == 0
+        seen["cut"] += 0 < got < want and not hit
+        return quiet, hit
+
+    def where(g, lmask, rmask, feed, _where=tester._where):
+        w = _where(g, lmask, rmask, feed)
+        seen["where fail"] += w.outcome == "fail"
+        return w
+
+    monkeypatch.setattr(tester, "_quiet_search_rounds", spy)
+    monkeypatch.setattr(tester, "_where", where)
+
+    def run(make, D, cfg, seed):
+        feed = BitFeed(np.random.default_rng(seed))
+        f = make()
+        v = main_djunta(f, D, cfg, feed)
+        return (v.outcome, v.witness, v.queries, v.samples), f.counter.snapshot(), feed.take(100)
+
+    cases = _main_batch_cases()
+    batched_runs, batched_seen = [], Counter()
+    for name, make, D, cfg, seeds in cases:
+        seen.clear()
+        batched_runs += [run(make, D, cfg, s) for s in seeds]
+        assert seen["batch"], f"{name} never reached a batch"
+        batched_seen[name] = seen.copy()
+    monkeypatch.setattr(tester, "_SCALAR_ROUNDS", 10**9)
+    seen.clear()
+    scalar_runs = []
+    for name, make, D, cfg, seeds in cases:
+        before = seen["where fail"]
+        scalar_runs += [run(make, D, cfg, s) for s in seeds]
+        batched_seen[name]["scalar where fail"] = seen["where fail"] - before
+    assert not seen["batch"]
+    assert batched_runs == scalar_runs
+    assert batched_seen["constant n64"]["empty V"]
+    assert batched_seen["sparse7 n24"]["first row"]
+    assert sum(c["cut"] for c in batched_seen.values())
+    fails = batched_seen["affine22"]
+    assert fails["scalar where fail"] > fails["where fail"], dict(fails)

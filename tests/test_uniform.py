@@ -115,7 +115,7 @@ def _xor_and_table(width):
 
 
 def _batch_cases():
-    rng = np.random.default_rng(17)
+    rng = np.random.default_rng(18)
     hard = gen_no(300, 3, np.random.default_rng(3))
     wide = FunctionOracle.from_junta(300, (5, 77, 290), 0b10010110)
     # x1 xor (x2 and ... and x8) where x9..x20 are all 0, and 0 elsewhere
