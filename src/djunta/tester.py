@@ -101,8 +101,8 @@ def where_is_the_literal(
     containing that variable is returned with probability at least
     1 - 4*gamma (the points are independent, so drawing both changes no
     bound).  Any other outcome than "fail" comes with a point x and the
-    named side's mask, with
-    g(x) = fx != fy = g(x ^ mask): a distinguishing pair for that side.
+    named side's mask, with g(x) = fx != fy = g(x ^ mask): a
+    distinguishing pair for that side.
     "fail" is an ordinary outcome (always, for instance, when g is
     constant).
     """
