@@ -112,10 +112,12 @@ class BitFeed:
 
     Every random draw of the testers goes through one feed: D's samples,
     the uniform tester's partition, the side probes' points and every flip
-    set.  take(nb) returns the next nb bits as an int, consuming the
-    stream in order, so a fixed seed fixes the whole run.  Nothing else
-    reads the generator, so the 8 KiB chunk the feed pre-draws is a pure
-    speed knob: any chunk size hands out the same stream.
+    set.  D.sample_bits reads nothing else, so D.sample and the influence
+    estimator read a feed too.  take(nb) returns the next nb bits as an
+    int, consuming the stream in order, so a fixed seed fixes the whole
+    run.  Nothing else reads the generator, so the 8 KiB chunk the feed
+    pre-draws is a pure speed knob: any chunk size hands out the same
+    stream.
 
     Batched loops read ahead with peek_bits() or peek_block(), which return
     already buffered bits without consuming them, and then skip() exactly
@@ -690,11 +692,15 @@ def oracle_to_json(f: FunctionOracle) -> dict:
 
 def oracle_from_json(doc: dict) -> FunctionOracle:
     n = json_int(doc["n"], "n")
+    if n < 1:
+        raise ContractError(f"n must be at least 1, got {n}")
     check_width(n)
     kind = doc["kind"]
     if kind == "truth_table":
         return FunctionOracle.from_truth_table(n, hex_to_bits(doc["table"], 1 << n))
     if kind == "junta":
-        vs = tuple(json_int(v, "junta_vars entry") for v in doc["junta_vars"])
+        vs = tuple(
+            json_int(v, "junta_vars entry") for v in json_list(doc["junta_vars"], "junta_vars")
+        )
         return FunctionOracle.from_junta(n, vs, hex_to_bits(doc["table"], 1 << len(vs)))
     raise ContractError(f"unknown instance kind {kind!r}")

@@ -114,6 +114,8 @@ def _cmd_gen(args) -> int:
         doc = instance_to_json(gen_no(args.n, args.k, rng))
     else:
         check_width(args.n)
+        if not 0 <= args.k <= args.n:
+            raise _CliError("usage", f"need 0 <= k <= n, got k={args.k}, n={args.n}")
         check_junta_arity(args.k)
         vars = sorted(int(c) + 1 for c in rng.choice(args.n, size=args.k, replace=False))
         table = rand_bits(rng, 1 << args.k)

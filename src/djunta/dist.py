@@ -2,9 +2,9 @@
 
 Distance between functions is always measured against one of these, so they
 stay deliberately small: either the uniform distribution over the whole cube
-or an explicit weighted support.  Sampling reads a fixed-width field of a
-BitFeed (or draws from a numpy Generator) and inverts the cumulative
-weights; a run is reproducible from its seed alone.
+or an explicit weighted support.  Every sample reads one fixed-width field
+of a BitFeed and maps it to a point, inverting the cumulative weights on a
+weighted support; a run is reproducible from its seed alone.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import (
-    BitFeed, BitString, bits_to_hex, check_width, hex_to_bits, json_int, json_list, rand_bits,
-    rows_of, scale_draws,
+    BitFeed, BitString, bits_to_hex, check_width, hex_to_bits, json_int, json_list, rows_of,
+    scale_draws,
 )
 from .errors import ContractError, DimensionError, EmptyDomainError
 
@@ -129,30 +129,22 @@ class FiniteDistribution:
         a support."""
         return self.n if self.kind == self.KIND_CUBE else 64
 
-    def sample_bits(self, rng) -> int:
-        """One point drawn from D, from a BitFeed or a numpy Generator.
+    def sample_bits(self, feed: BitFeed) -> int:
+        """One point drawn from D, read from one field of `draw_bits` bits.
 
-        From a feed, a sample reads one field of `draw_bits` bits: the
-        point itself on the cube; on a support, a 64-bit draw u.  A uniform
-        support of m points takes point floor(u * m / 2**64), whose
-        probability is within 2**-64 of 1/m, so the bias summed over the
-        support stays below m / 2**64.  A weighted support inverts the
-        cumulative weights at (u >> 11) / 2**53, a float in [0, 1).
+        On the cube the field is the point itself; on a support it is a
+        64-bit draw u.  A uniform support of m points takes point
+        floor(u * m / 2**64), whose probability is within 2**-64 of 1/m, so
+        the bias summed over the support stays below m / 2**64.  A weighted
+        support inverts the cumulative weights at (u >> 11) / 2**53, a
+        float in [0, 1).
         """
-        if isinstance(rng, BitFeed):
-            u = rng.take(self.draw_bits)
-            if self.kind == self.KIND_CUBE:
-                return u
-            if self.weights is None:
-                return self.points[(u * len(self.points)) >> 64]
-            t = (u >> 11) * 2.0**-53
-        elif self.kind == self.KIND_CUBE:
-            return rand_bits(rng, self.n)
-        elif self.weights is None:
-            return self.points[int(rng.integers(0, len(self.points)))]
-        else:
-            t = rng.random()
-        return self.points[int(np.searchsorted(self._cum, t, side="right"))]
+        u = feed.take(self.draw_bits)
+        if self.kind == self.KIND_CUBE:
+            return u
+        if self.weights is None:
+            return self.points[(u * len(self.points)) >> 64]
+        return self.points[int(np.searchsorted(self._cum, (u >> 11) * 2.0**-53, side="right"))]
 
     def sample_rows(self, fields: np.ndarray) -> np.ndarray:
         """sample_bits on a batch of feed fields: row j of `fields` holds
@@ -170,7 +162,10 @@ class FiniteDistribution:
         return self._rows[0][idx]
 
     def sample(self, rng) -> BitString:
-        return BitString(self.n, self.sample_bits(rng))
+        """One point drawn from D.  A Generator is wrapped in a fresh BitFeed
+        per call, so repeated calls on one Generator depend on the feed's
+        chunk size: to draw many points, pass one BitFeed."""
+        return BitString(self.n, self.sample_bits(BitFeed.of(rng)))
 
     # -- files
 

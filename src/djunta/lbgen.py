@@ -311,7 +311,7 @@ def instance_from_json(doc: dict) -> YesInstance | NoInstance:
         rng = np.random.default_rng(json_int(doc["seed"], "seed"))
         return gen_yes(n, k, rng) if kind == "yes_instance" else gen_no(n, k, rng)
     _check_shape(n, k)
-    coords = [json_int(c, "J entry") for c in doc["J"]]
+    coords = [json_int(c, "J entry") for c in json_list(doc["J"], "J")]
     J = frozenset(coords)
     if len(coords) != k or len(J) != k or not all(1 <= c <= n for c in J):
         raise ContractError(f"J must list {k} distinct coordinates in 1..{n}")

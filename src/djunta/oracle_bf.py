@@ -16,6 +16,7 @@ from math import comb
 import numpy as np
 
 from .boolfn import (
+    BitFeed,
     Block,
     DistinguishingPair,
     FunctionOracle,
@@ -23,7 +24,6 @@ from .boolfn import (
     full_truth_table,
     gather_bits,  # unused here; bench/tracing.py wraps djunta.oracle_bf:gather_bits
     mask_of,
-    rand_bits,
     rows_of,
 )
 from .dist import FiniteDistribution
@@ -199,6 +199,8 @@ def influence_lemma_estimate(
     for any candidate relevant set I of size at most k) powers both
     testers' soundness; the estimator exists to let tests check that bound
     on instances whose exact distance is known.  Uses uncounted peeks.
+    `rng` is a BitFeed or a Generator, wrapped once in a feed: each trial
+    reads the sample, then n bits for the re-randomized coordinates.
     """
     if trials < 1:
         raise ContractError(f"need trials >= 1, got {trials}")
@@ -208,10 +210,11 @@ def influence_lemma_estimate(
     imask = mask_of(I, n)
     omask = ((1 << n) - 1) ^ imask
     value = f.backend.value
+    feed = BitFeed.of(rng)
     hits = 0
     for _ in range(trials):
-        xb = D.sample_bits(rng)
-        zb = (xb & imask) | (rand_bits(rng, n) & omask)
+        xb = D.sample_bits(feed)
+        zb = (xb & imask) | (feed.take(n) & omask)
         if value(xb) != value(zb):
             hits += 1
     return hits / trials

@@ -262,10 +262,10 @@ class _Entry:
     arrive without labels, and `literal` re-queries them).  `view` is f
     with everything outside the block pinned to the pair's shared context,
     as `f.restrict` would build it.  `lift` tracks a pair found on the view
-    as a new block of f; `scatter` builds its byte `tables` on first use.
+    as a new block of f.
     """
 
-    __slots__ = ("mask", "coords", "xb", "yb", "fx", "fy", "view", "tables")
+    __slots__ = ("mask", "coords", "xb", "yb", "fx", "fy", "view")
 
     def __init__(self, f: FunctionOracle, full: int, mask: int, xb, yb, fx, fy):
         self.mask = mask
@@ -274,7 +274,6 @@ class _Entry:
         self.yb = yb
         self.fx = fx
         self.fy = fy
-        self.tables = None
         if mask == full:
             self.view = f
         else:
@@ -289,22 +288,6 @@ class _Entry:
             f, full, scatter_bits(mask, coords),
             ctx | scatter_bits(x, coords), ctx | scatter_bits(y, coords), fx, fy,
         )
-
-    def scatter(self, bits: int) -> int:
-        """scatter_bits(bits, self.coords), one byte of `bits` at a time:
-        tables[j][b] is the scatter of b << 8j."""
-        if self.tables is None:
-            self.tables = []
-            for j in range(0, len(self.coords), 8):
-                t = [0]
-                for c in self.coords[j : j + 8]:
-                    t += [v | 1 << (c - 1) for v in t]
-                self.tables.append(t)
-        out = 0
-        for t in self.tables:
-            out |= t[bits & 255]
-            bits >>= 8
-        return out
 
 
 #: A search round's layout depends on V, so after V changes main_djunta
@@ -428,7 +411,7 @@ def main_djunta(
                     feed.take(3 * sum(len(d.coords) for d in V[i + 1 :]) + D.draw_bits + n)
                     break
                 # Flip the half judged free of the controlling variable.
-                tmask = e.scatter(w.mask ^ bfull)
+                tmask = scatter_bits(w.mask ^ bfull, e.coords)
                 vmask |= e.mask
                 rmask |= tmask
                 if tmask:

@@ -457,6 +457,34 @@ class TestErrors:
         assert out == "" and err.startswith("error: parse:") and err.count("\n") == 1
         assert field in err
 
+    @pytest.mark.parametrize(
+        "case, field",
+        [
+            ("junta_vars", "junta_vars must be an array"),
+            ("J", "J must be an array"),
+            ("truth table n", "n must be at least 1, got -3"),
+            ("gen-junta k", "k=6, n=5"),
+        ],
+    )
+    def test_mistyped_input_names_the_field(self, tmp_path, capsys, case, field):
+        # Each of these once reached Python's own message ("'int' object is
+        # not iterable", "negative shift count", numpy's sample-size error).
+        p = tmp_path / "f.json"
+        docs = {
+            "junta_vars": {"kind": "junta", "n": 8, "junta_vars": 5, "table": "2"},
+            "J": dict(instance_to_json(gen_no(14, 2, np.random.default_rng(1))), J=5),
+            "truth table n": {"kind": "truth_table", "n": -3, "table": "2"},
+        }
+        if case in docs:
+            p.write_text(json.dumps(docs[case]))
+            argv = ("test", "--tester", "simple", "--epsilon", 0.5, "--k", 1, "--in", p)
+        else:
+            argv = ("gen-junta", "--n", 5, "--k", 6, "--seed", 0)
+        assert run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+
     def test_usage_exit_from_argparse(self, capsys):
         assert run("test", "--tester", "simple") == 2
         err = capsys.readouterr().err

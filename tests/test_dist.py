@@ -73,15 +73,15 @@ def test_support_validation():
 def test_sampling_stays_on_support():
     pts = (0b0011, 0b1100, 0b0110)
     D = FiniteDistribution.support(4, pts)
-    rng = np.random.default_rng(5)
-    seen = {D.sample_bits(rng) for _ in range(200)}
+    feed = BitFeed(np.random.default_rng(5))
+    seen = {D.sample_bits(feed) for _ in range(200)}
     assert seen == set(pts)
 
 
 def test_sampling_deterministic():
     D = FiniteDistribution.support(6, tuple(range(10)), weights=tuple([0.1] * 10))
-    a = [D.sample_bits(np.random.default_rng(4)) for _ in range(1)]
-    b = [D.sample_bits(np.random.default_rng(4)) for _ in range(1)]
+    a = [D.sample_bits(BitFeed(np.random.default_rng(4))) for _ in range(1)]
+    b = [D.sample_bits(BitFeed(np.random.default_rng(4))) for _ in range(1)]
     assert a == b
     x = D.sample(np.random.default_rng(4))
     assert isinstance(x, BitString) and x.n == 6
@@ -89,30 +89,9 @@ def test_sampling_deterministic():
 
 def test_weighted_sampling_frequencies():
     D = FiniteDistribution.support(1, (0, 1), weights=(0.9, 0.1))
-    rng = np.random.default_rng(0)
-    ones = sum(D.sample_bits(rng) for _ in range(2000))
+    feed = BitFeed(np.random.default_rng(0))
+    ones = sum(D.sample_bits(feed) for _ in range(2000))
     assert 100 <= ones <= 320
-
-
-class _FixedDraw:
-    """Stands in for a Generator whose `random()` returns one fixed value."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-def test_weighted_sampling_never_returns_zero_mass():
-    # Ten weights of 0.1 sum to 0.9999999999999999 in floats, so the top
-    # draw overshoots the cumulative sum; it must land on mass, not on the
-    # trailing zero-weight point.
-    D = FiniteDistribution.support(4, tuple(range(11)), weights=[0.1] * 10 + [0.0])
-    assert D.mass(D.sample_bits(_FixedDraw(1 - 2**-53))) > 0
-    assert D.sample_bits(_FixedDraw(1 - 2**-53)) == 9
-    # Draws that do not overshoot are unchanged.
-    assert [D.sample_bits(_FixedDraw(u)) for u in (0.0, 0.05, 0.15, 0.95)] == [0, 0, 1, 9]
 
 
 class _Words(BitFeed):
@@ -172,10 +151,11 @@ def test_sample_bits_and_sample_rows_agree():
 
 
 def test_feed_draws_never_return_zero_mass():
-    # As above, for feed draws: a draw whose top 53 bits read 1 - 2**-53
-    # overshoots the cumulative sum, and both the scalar and the batched
-    # draw must land on the last point with mass, not on the trailing
-    # zero-weight one.
+    # Ten weights of 0.1 sum to 0.9999999999999999 in floats, so a draw
+    # whose top 53 bits read 1 - 2**-53 overshoots the cumulative sum:
+    # both the scalar and the batched draw must land on the last point
+    # with mass, not on the trailing zero-weight one.  Draws that do not
+    # overshoot are unchanged.
     D = FiniteDistribution.support(4, tuple(range(11)), weights=[0.1] * 10 + [0.0])
     top = (2**53 - 1) << 11
     ts = [top, top | 2**11 - 1, *(int(t * 2**53) << 11 for t in (0.0, 0.05, 0.15, 0.95))]

@@ -1,17 +1,25 @@
-"""The side probe's lemma checked exactly, by enumerating its randomness.
+"""The paper's small lemmas checked exactly, by enumeration at small n.
 
-`_where` draws one uniform n-bit point per nonempty side.  At small n every
-such draw can be enumerated: a scripted feed hands `_where` the values of
-one path through its draws, and a path that asks for a draw not yet
-scripted is extended by every value that draw can take.  Each finished
+The side probe: `_where` draws both of its uniform n-bit points, the left
+one first, as one 2n-bit field, before it probes either side.  At small n
+every such draw can be enumerated: a scripted feed hands `_where` the
+values of one path through its draws, and a path that asks for a draw not
+yet scripted is extended by every value that draw can take.  Each finished
 path then carries its exact probability, so the lemma's bound is checked
 as an exact inequality, not estimated from samples.
+
+The searches have no randomness: `binary_search` and `block_binary_search`
+are run on every function, every distinguishing pair and, for the block
+search, every ordered partition of the differing coordinates into blocks.
 """
 
+from itertools import permutations
+
+import numpy as np
 import pytest
 
-from djunta import FunctionOracle
-from djunta.boolfn import BitFeed
+from djunta import BitString, FunctionOracle, binary_search, block_binary_search, ceil_log2
+from djunta.boolfn import BitFeed, coords_of, mask_of
 from djunta.tester import _where
 
 
@@ -90,7 +98,7 @@ def _check_where(n, table, feed):
     full = size - 1
     g = FunctionOracle.from_truth_table(n, table)
     dists = _literal_distances(n, table)
-    total = 1 << (2 * n)  # at most two draws of n bits
+    total = 1 << (2 * n)  # one draw of 2n bits
     for lmask in range(size):
         rmask = full ^ lmask
         hits = [0] * n
@@ -139,3 +147,82 @@ def test_where_exact_near_literals_n4():
     assert all(min(_literal_distances(n, t)) <= 1 for t in near)
     for table in near:
         _check_where(n, table, feed)
+
+
+# ---------------------------------------------------------------------------
+# the two searches
+
+
+def _set_partitions(items):
+    """Every partition of the list `items` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first], *part]
+        for i in range(len(part)):
+            yield [*part[:i], [first, *part[i]], *part[i + 1 :]]
+
+
+def _ordered_partitions(items):
+    for part in _set_partitions(items):
+        yield from permutations(part)
+
+
+def _check_result(g, table, xb, yb, res, block, budget, before):
+    """res certifies `block` with a pair inside diff(x, y), within
+    `budget` queries."""
+    diff = xb ^ yb
+    bmask = mask_of(block, g.n)
+    px, py = res.pair.x.bits, res.pair.y.bits
+    assert res.pair.block == frozenset(block)
+    # The pair lies between x and y and differs only where the block
+    # meets diff(x, y).
+    assert (px ^ xb) & ~diff == 0 and (py ^ xb) & ~diff == 0
+    assert px != py and (px ^ py) & ~(bmask & diff) == 0
+    # A distinguishing pair, x's side keeping g(x), with its labels.
+    assert (res.fx, res.fy) == (table >> px & 1, table >> py & 1)
+    assert res.fx == table >> xb & 1 != res.fy
+    assert res.queries == g.counter.queries - before <= budget
+
+
+def _check_searches(n, table):
+    size = 1 << n
+    g = FunctionOracle.from_truth_table(n, table)
+    everything = list(range(1, n + 1))
+    for xb in range(size):
+        for yb in range(size):
+            if table >> xb & 1 == table >> yb & 1:
+                continue
+            x, y = BitString(n, xb), BitString(n, yb)
+            diff = coords_of(xb ^ yb)
+            before = g.counter.queries
+            res = binary_search(g, x, y)
+            assert res.pair.block == {res.coord}
+            _check_result(g, table, xb, yb, res, (res.coord,), ceil_log2(len(diff)), before)
+            # Blocks that cover diff(x, y) exactly, and blocks over every
+            # coordinate, some of which a probe may not touch.
+            partitions = list(_ordered_partitions(diff))
+            if len(diff) < n:
+                partitions += _ordered_partitions(everything)
+            for blocks in partitions:
+                before = g.counter.queries
+                res = block_binary_search(g, x, y, blocks)
+                budget = ceil_log2(len(blocks))
+                _check_result(g, table, xb, yb, res, blocks[res.index], budget, before)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_searches_exact_every_function(n):
+    for table in range(1 << (1 << n)):
+        _check_searches(n, table)
+
+
+def test_searches_exact_n4_sample():
+    # Four candidates are the fewest on which a search that does not
+    # halve its window exceeds ceil(log2 r); every g on n = 4 would take
+    # minutes, so a seeded sample of tables stands in.
+    rng = np.random.default_rng(4)
+    for table in rng.integers(1, 2**16 - 1, size=6).tolist():
+        _check_searches(4, table)

@@ -332,12 +332,11 @@ class TestMain:
                 assert verify_witness(g, v.witness)
         assert rejections >= 7
 
-    def test_entry_scatter_matches_scatter_bits(self):
-        # Every block size 1..70, so blocks of one, one and a bit, and
-        # eight or more bytes; coordinates up to 300.  Each entry scatters
-        # twice, so its byte tables are built once and then reused.  Its
-        # pair carries a random context outside the block, which `lift`
-        # must keep around the scattered block-local pair.
+    def test_entry_lift_matches_scatter_bits(self):
+        # Every block size 1..70, so blocks of one word and of two;
+        # coordinates up to 300.  The entry's pair carries a random context
+        # outside the block, which `lift` must keep around the scattered
+        # block-local pair.
         n = 300
         f = FunctionOracle.from_junta(n, [], 0)
         full = (1 << n) - 1
@@ -349,8 +348,6 @@ class TestMain:
                 ctx = rand_bits(rng, n) & (full ^ mask)
                 assert ctx
                 e = _Entry(f, full, mask, ctx, ctx ^ mask, None, None)
-                for bits in (rand_bits(rng, size), (1 << size) - 1, 1 << (size - 1)):
-                    assert e.scatter(bits) == scatter_bits(bits, coords)
                 x, y = rand_bits(rng, size), rand_bits(rng, size)
                 part = rand_bits(rng, size) | 1
                 child = e.lift(f, full, x, y, part, 0, 1)
