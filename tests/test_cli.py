@@ -467,8 +467,6 @@ class TestErrors:
         ],
     )
     def test_mistyped_input_names_the_field(self, tmp_path, capsys, case, field):
-        # Each of these once reached Python's own message ("'int' object is
-        # not iterable", "negative shift count", numpy's sample-size error).
         p = tmp_path / "f.json"
         docs = {
             "junta_vars": {"kind": "junta", "n": 8, "junta_vars": 5, "table": "2"},

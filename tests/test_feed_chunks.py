@@ -40,9 +40,10 @@ def _cases():
     weighted = FiniteDistribution.support(30, pts, [float(v) for v in w / w.sum()])
     hard = gen_no(30, 2, np.random.default_rng(30))
     df = DFTesterConfig(k=2, epsilon=0.5)
+    u2, u3 = (UniformTesterConfig(k=k, epsilon=0.5) for k in (2, 3))
     cases = [
-        ("uniform/junta70", wide.fork, None, uniform_junta, UniformTesterConfig(k=3, epsilon=0.5)),
-        ("uniform/gen_no30", hard.oracle, None, uniform_junta, UniformTesterConfig(k=2, epsilon=0.5)),
+        ("uniform/junta70", wide.fork, None, uniform_junta, u3),
+        ("uniform/gen_no30", hard.oracle, None, uniform_junta, u2),
     ]
     for tester in (main_djunta, simple_djunta):
         cases += [
