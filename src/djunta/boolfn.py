@@ -444,6 +444,17 @@ class JuntaBackend:
         idx = (bits << np.arange(len(w), dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
         return table_lookup(table, idx)
 
+    def view(self, free_coords: Sequence[int], wbits: int) -> "JuntaBackend":
+        """Partial evaluation: with the coordinates outside `free_coords`
+        pinned to `wbits`, a junta is a junta over its free variables, no
+        dearer to evaluate."""
+        pos_of = {c: t + 1 for t, c in enumerate(free_coords)}
+        kept = [v for v in self.vars if v in pos_of]
+        newtab = 0
+        for a in range(1 << len(kept)):
+            newtab |= self.value(wbits | scatter_bits(a, kept)) << a
+        return JuntaBackend(len(free_coords), [pos_of[v] for v in kept], newtab)
+
 
 class RestrictionBackend:
     """Parent function with the coordinates outside `free_coords` pinned.
@@ -489,18 +500,16 @@ class RestrictionBackend:
 def make_restriction_backend(parent, free_coords: Sequence[int], wbits: int):
     """Restriction of `parent` to `free_coords`, with pinned values `wbits`.
 
-    A junta collapses to a junta again (partial evaluation of its table:
-    same values, no dearer to evaluate); any other parent, a restriction
-    included, is wrapped as is.  Called by `FunctionOracle.restrict` and
-    by `main_djunta`'s block views, which hold `wbits` already.
+    A parent with a `view(free_coords, wbits)` method builds the view
+    itself: a junta collapses to a junta again, and a `gen_no` function
+    wider than one word keeps only the support points the view can reach.
+    A parent without one, a truth table or a restriction, is wrapped in
+    `RestrictionBackend`.  Called by `FunctionOracle.restrict` and by
+    `main_djunta`'s block views, which hold `wbits` already.
     """
-    if isinstance(parent, JuntaBackend):
-        pos_of = {c: t + 1 for t, c in enumerate(free_coords)}
-        kept = [v for v in parent.vars if v in pos_of]
-        newtab = 0
-        for a in range(1 << len(kept)):
-            newtab |= parent.value(wbits | scatter_bits(a, kept)) << a
-        return JuntaBackend(len(free_coords), [pos_of[v] for v in kept], newtab)
+    view = getattr(parent, "view", None)
+    if view is not None:
+        return view(free_coords, wbits)
     return RestrictionBackend(parent, free_coords, wbits)
 
 
@@ -564,7 +573,9 @@ class FunctionOracle:
         """Pin the coordinates in `fixed` to the bits of w.
 
         w is indexed over `fixed` in ascending coordinate order.  The view
-        shares this oracle's counter.
+        shares this oracle's counter.  Its backend comes from
+        `make_restriction_backend`: the parent's own view when it has
+        one, else a generic `RestrictionBackend`.
         """
         fixed_coords = tuple(sorted(set(int(c) for c in fixed)))
         if not fixed_coords:

@@ -76,7 +76,9 @@ def _parsing(path: str):
         yield
     except SizeError:
         raise
-    except (KeyError, ValueError, TypeError, OverflowError) as e:
+    except KeyError as e:
+        raise _CliError("parse", f"{path}: missing field {e.args[0]!r}") from e
+    except (ValueError, TypeError, OverflowError) as e:
         raise _CliError("parse", f"{path}: {e}") from e
 
 
@@ -211,6 +213,16 @@ def _int_list(text: str) -> list[int]:
     return vals
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse, with a usage error reported as one line like every error."""
 
@@ -227,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
         g = sub.add_parser(name, help=help_)
         g.add_argument("--n", type=int, required=True)
         g.add_argument("--k", type=int, required=True)
-        g.add_argument("--seed", type=int, default=0)
+        g.add_argument("--seed", type=_seed, default=0)
         g.add_argument("--out", default=None)
         return g
 
@@ -241,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--in", required=True)
     t.add_argument("--k", type=int, default=None)
     t.add_argument("--dist", default=None, help='"uniform" or a distribution file')
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_seed, default=0)
     t.add_argument("--out", default=None)
 
     d = sub.add_parser("dist", help="exact distance to the nearest k-junta")
@@ -256,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", dest="n_list", type=_int_list, required=True)
     b.add_argument("--trials", type=int, default=50)
     b.add_argument("--tester", choices=("simple", "main", "uniform"), default="main")
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_seed, default=0)
     b.add_argument("--format", choices=("csv", "json"), default="csv")
     b.add_argument("--out", default=None)
 

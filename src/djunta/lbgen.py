@@ -29,7 +29,9 @@ import numpy as np
 from .boolfn import (
     Block,
     FunctionOracle,
+    JuntaBackend,
     QueryCounter,
+    RestrictionBackend,
     bits_to_hex,
     check_junta_arity,
     check_width,
@@ -38,8 +40,10 @@ from .boolfn import (
     hex_to_bits,
     json_int,
     json_list,
+    pack_rows,
     rand_bits,
     rows_of,
+    scatter_bits,
     table_lookup,
 )
 from .dist import FiniteDistribution
@@ -184,15 +188,62 @@ def gen_no(n: int, k: int, rng) -> NoInstance:
     return NoInstance(n, k, J, table, labels, neighbor_radius(n), D)
 
 
+#: Widest domain whose block views stay generic RestrictionBackends.  With
+#: a point in one word, a restriction's scatter and section scan are a few
+#: small-int operations, and a partial view saves little: a batch of 128
+#: rows took 53 us against 69 us at n = 14, where a view's build takes
+#: about 55 us and most views batch at most twice.  With partial views,
+#: main_djunta took 1.07x as long on gen_no(14, 2).
+_GENERIC_VIEW_WIDTH = 64
+
+#: Bound on the words one batched distance step holds per section, so the
+#: xor temporaries of a hard-label `values` stay near 256 KiB whatever the
+#: batch.
+_STEP_WORDS = 1 << 15
+
+
+def _ball_rule(X: np.ndarray, keys: np.ndarray, background: np.ndarray, sections: dict) -> np.ndarray:
+    """Row-wise value of a hard-label function or block view, by the
+    exact-hit, ball and background rule.
+
+    Row i lies in section keys[i].  `sections` maps a key to its support
+    points as a (words, size) matrix, one column a point, with their
+    slacks (the distance from a row to a point at which the point's ball
+    ends), uint8 codes 2 + label, and a bonus of 2 for a point an equal
+    row hits exactly.  Against each point of its section a row scores 0
+    off the ball, the code in it and code + bonus on equality.  The best
+    score, if any, carries the value in its low bit: the exact hit wins,
+    then an in-ball 1, then an in-ball 0.  Rows without a score, empty
+    sections' rows among them, keep bit keys[i] of the packed
+    `background` table.
+    """
+    out = table_lookup(background, keys)
+    for key in set(keys.tolist()):
+        sec = sections.get(key)
+        if sec is None:
+            continue
+        pts, slack, codes, bonus = sec
+        rows = np.flatnonzero(keys == key)
+        step = max(1, _STEP_WORDS // pts.size)
+        for a in range(0, len(rows), step):
+            r = rows[a : a + step]
+            dist = np.bitwise_count(X[r, :, None] ^ pts).sum(axis=1, dtype=np.uint16)
+            best = ((dist <= slack) * codes + (dist == 0) * bonus).max(axis=1)
+            out[r] = np.where(best > 0, best & 1, out[r])
+    return out
+
+
+def _packed_table(junta: JuntaBackend) -> np.ndarray:
+    """A junta's table as little-endian packed bytes, for table_lookup."""
+    nbytes = ((1 << len(junta.vars)) + 7) // 8
+    return np.frombuffer(junta.table.to_bytes(nbytes, "little"), np.uint8)
+
+
 class _HardLabelBackend:
     """Lazy point evaluation of a NoInstance's function."""
 
     kind = "no_construction"
-    __slots__ = ("n", "table", "jcoords", "radius", "exact", "sections", "_matrices")
-
-    #: Bound on the words one batched distance step holds per section, so
-    #: the xor temporaries of `values` stay near 256 KiB whatever the batch.
-    _STEP_WORDS = 1 << 15
+    __slots__ = ("n", "table", "jcoords", "radius", "exact", "sections", "_support")
 
     def __init__(self, inst: NoInstance):
         self.n = inst.n
@@ -208,7 +259,7 @@ class _HardLabelBackend:
             keys = gather_rows(rows_of(pts, self.n), self.jcoords).tolist()
             for b, lab, key in zip(pts, inst.labels[a : a + step], keys):
                 self.sections.setdefault(key, []).append((b, lab))
-        self._matrices = None
+        self._support = None
 
     def value(self, xbits: int) -> int:
         lab = self.exact.get(xbits)
@@ -228,45 +279,155 @@ class _HardLabelBackend:
         # No in-ball neighbor shares the section: background junta decides.
         return (self.table >> key) & 1
 
-    def _section_matrices(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Section key -> (its support points as a (ceil(n/64), size) word
-        matrix, one column a point; their uint8 codes 2 + label)."""
-        if self._matrices is None:
-            self._matrices = {}
-            for key, bucket in self.sections.items():
-                pts = rows_of([b for b, _ in bucket], self.n)
-                codes = np.array([2 + lab for _, lab in bucket], dtype=np.uint8)
-                self._matrices[key] = (np.ascontiguousarray(pts.T), codes)
-        return self._matrices
+    def _support_arrays(self):
+        """The support in section order: a (ceil(n/64), m) word matrix, one
+        column a point, its section keys, each section's first column (and
+        m), its uint8 labels, `_ball_rule`'s sections, and the background
+        junta with its packed table.  Built on the first batched call, to
+        this backend or to a block view, so runs that never batch
+        (simple_djunta's) never hold them."""
+        if self._support is None:
+            order = sorted(self.sections)
+            secs = [self.sections[key] for key in order]
+            points, labs = zip(*[pair for sec in secs for pair in sec])
+            pts = np.ascontiguousarray(rows_of(points, self.n).T)
+            labels = np.array(labs, dtype=np.uint8)
+            sizes = [len(sec) for sec in secs]
+            keys = np.repeat(np.array(order, dtype=np.uint64), sizes)
+            starts = np.cumsum([0] + sizes)
+            sections = {
+                key: (pts[:, a:b], self.radius, 2 + labels[a:b], np.uint8(2))
+                for key, a, b in zip(order, starts.tolist(), starts[1:].tolist())
+            }
+            junta = JuntaBackend(self.n, self.jcoords, self.table)
+            self._support = (pts, keys, starts, labels, sections, junta, _packed_table(junta))
+        return self._support
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        """Row-wise `value`, by the same exact-hit, ball and background rule.
+        """Row-wise `value`, by `_ball_rule` over the sections."""
+        *_, sections, _, background = self._support_arrays()
+        return _ball_rule(X, gather_rows(X, self.jcoords), background, sections)
 
-        Against each support point of its section a row scores 0 off the
-        ball, 2 + label in it and 4 + label on an exact hit.  The best
-        score, if any, carries the value in its low bit: the exact hit
-        wins, then an in-ball 1, then an in-ball 0.  Rows without a score,
-        empty sections' rows among them, keep the background junta's value.
-        """
-        keys = gather_rows(X, self.jcoords)
-        nbytes = ((1 << len(self.jcoords)) + 7) // 8
-        background = np.frombuffer(self.table.to_bytes(nbytes, "little"), np.uint8)
-        out = table_lookup(background, keys)
-        matrices = self._section_matrices()
-        for key in set(keys.tolist()):
-            sec = matrices.get(key)
-            if sec is None:
-                continue
-            pts, codes = sec
-            rows = np.flatnonzero(keys == key)
-            step = max(1, self._STEP_WORDS // pts.size)
-            for a in range(0, len(rows), step):
-                r = rows[a : a + step]
-                dist = np.bitwise_count(X[r, :, None] ^ pts).sum(axis=1, dtype=np.uint16)
-                score = (dist <= self.radius) * codes + (dist == 0) * np.uint8(2)
-                best = score.max(axis=1)
-                out[r] = np.where(best > 0, best & 1, out[r])
-        return out
+    def view(self, free_coords, wbits: int):
+        """The block view on `free_coords` (ascending), every other
+        coordinate pinned to `wbits` (zero on the block): a generic
+        RestrictionBackend while a point fits in one word, else a
+        `_HardLabelView`."""
+        if self.n <= _GENERIC_VIEW_WIDTH:
+            return RestrictionBackend(self, free_coords, wbits)
+        return _HardLabelView(self, free_coords, wbits)
+
+
+class _HardLabelView:
+    """A block view of a NoInstance's function.
+
+    Until its first batched call the view evaluates a point through its
+    parent, scattered to full width, as a RestrictionBackend does.  The
+    first batched call evaluates it partially, keeping only the support
+    points it can reach: a point p whose distance d0 to the context off
+    the block is at most the radius, and whose section key agrees with
+    the context on the J coordinates off the block.  Each kept point
+    carries its projection on the block, in the view's own words, and its
+    slack, the radius minus d0.  A view point z shares p's section when it
+    matches p on the J coordinates inside the block (`jmask`, the
+    variables of the background junta pinned to the context), and lies
+    in p's ball when popcount(z ^ p) <= slack; it is p itself when also
+    d0 = 0.  The rule of `_HardLabelBackend.value` then applies, the
+    background junta deciding when no point scores, and alone when no
+    point is kept.
+
+    A batched call is the testers' sign of a view in heavy use: they
+    batch only after 32 one-at-a-time rounds.  Most views never get one:
+    in ten main_djunta runs on gen_no(300, 3), 31 of 68 views were never
+    evaluated and half answered at most 11 calls.  Building every view at
+    once made main_djunta 1.41x as slow on fresh gen_no(128, 3) instances,
+    against 1.00x this way.
+    """
+
+    kind = "no_construction_view"
+    __slots__ = (
+        "n", "parent", "free_coords", "wbits",
+        "background", "jmask", "exact", "buckets", "_sections", "_table",
+    )
+
+    def __init__(self, parent: _HardLabelBackend, free_coords, wbits: int):
+        self.n = len(free_coords)
+        self.parent = parent
+        self.free_coords = free_coords
+        self.wbits = wbits
+        self.exact = None  # set by _build
+
+    def _build(self) -> None:
+        parent, free_coords, wbits = self.parent, self.free_coords, self.wbits
+        P, keys, starts, labels, _, junta, _ = parent._support_arrays()
+        self.background = junta.view(free_coords, wbits)
+        self.jmask = sum(1 << (v - 1) for v in self.background.vars)
+        block = 0
+        for c in free_coords:
+            block |= 1 << (c - 1)
+        off = ctxkey = 0  # section key bits off the block, and wbits' values there
+        for t, c in enumerate(parent.jcoords):
+            if not block >> (c - 1) & 1:
+                off |= 1 << t
+                ctxkey |= (wbits >> (c - 1) & 1) << t
+        ctx, pinned = rows_of((wbits, block ^ ((1 << parent.n) - 1)), parent.n)[:, :, None]
+        d0 = np.bitwise_count((P ^ ctx) & pinned).sum(axis=0, dtype=np.int64)
+        kept = ((d0 <= parent.radius) & (keys & np.uint64(off) == ctxkey)).nonzero()[0]
+        # Project the kept points on the block, a few at a time, so that
+        # their unpacked bits take at most _BLOCK_BYTES.
+        cols = np.subtract(free_coords, 1)
+        step = max(1, _BLOCK_BYTES // (64 * len(P)))
+        pts = np.empty((len(kept), (self.n + 63) >> 6), dtype=np.uint64)
+        for a in range(0, len(kept), step):
+            rows = np.ascontiguousarray(P[:, kept[a : a + step]].T).view(np.uint8)
+            pts[a : a + step] = pack_rows(np.unpackbits(rows, axis=1, bitorder="little")[:, cols])
+        # Kept points stay in section order; cut them where sections end.
+        ends = kept.searchsorted(starts).tolist()
+        runs = [(a, b) for a, b in zip(ends, ends[1:]) if a < b]
+        slack, labels = parent.radius - d0[kept], labels[kept]
+        ints = pts[:, 0].tolist()
+        for i in range(1, pts.shape[1]):
+            ints = [p | w << (64 * i) for p, w in zip(ints, pts[:, i].tolist())]
+        slacks, labs = slack.tolist(), labels.tolist()
+        # A section's points, slacks and labels as three lists: a list of
+        # tuples would give the garbage collector a tuple a point to track.
+        self.buckets = {ints[a] & self.jmask: (ints[a:b], slacks[a:b], labs[a:b]) for a, b in runs}
+        pts, codes = np.ascontiguousarray(pts.T), 2 + labels
+        bonus = np.where(slack == parent.radius, np.uint8(2), np.uint8(0))
+        slack = slack.astype(np.uint16)
+        self._sections = {
+            gather_bits(ints[a], self.background.vars): (
+                pts[:, a:b], slack[a:b], codes[a:b], bonus[a:b]
+            )
+            for a, b in runs
+        }
+        self._table = _packed_table(self.background)
+        self.exact = {ints[i]: labs[i] for i in (d0[kept] == 0).nonzero()[0].tolist()}
+
+    def value(self, z: int) -> int:
+        if self.exact is None:
+            return self.parent.value(self.wbits | scatter_bits(z, self.free_coords))
+        lab = self.exact.get(z)
+        if lab is not None:
+            return lab
+        bucket = self.buckets.get(z & self.jmask)
+        if bucket is not None:
+            hit = False
+            for p, slack, plab in zip(*bucket):
+                if (z ^ p).bit_count() <= slack:
+                    if plab:
+                        return 1
+                    hit = True
+            if hit:
+                return 0
+        return self.background.value(z)
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """Row-wise `value`, by `_ball_rule` over the kept points."""
+        if self.exact is None:
+            self._build()
+        keys = gather_rows(X, self.background.vars)
+        return _ball_rule(X, keys, self._table, self._sections)
 
 
 def is_scattered(Y, J: Block) -> bool:

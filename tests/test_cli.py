@@ -483,6 +483,36 @@ class TestErrors:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert field in err
 
+    def test_missing_field_is_named(self, tmp_path, capsys):
+        f, d, w = tmp_path / "f.json", tmp_path / "d.json", tmp_path / "w.json"
+        f.write_text(json.dumps({"kind": "junta", "n": 8, "junta_vars": [1], "table": "2"}))
+        d.write_text(json.dumps({"kind": "support", "n": 8}))
+        w.write_text(json.dumps({"queries": 2, "samples": 0, "witness": []}))
+        assert run("dist", "--k", 1, "--in", f, "--dist", d) == 2
+        assert run("verify", "--in", f, "--witness", w) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: parse: {d}: missing field 'points'",
+            f"error: parse: {w}: missing field 'outcome'",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("test", "--tester", "main", "--epsilon", 0.5, "--k", 1, "--in", "f.json"),
+            ("gen-no", "--n", 14, "--k", 2),
+            ("gen-junta", "--n", 8, "--k", 2),
+            ("bench", "--k", 1, "--epsilon", 0.5, "--n", 8, "--trials", 1),
+        ],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_names_the_flag(self, capsys, argv, seed):
+        # Refused by the parser, before any file is read or anything drawn.
+        assert run(*argv, "--seed", seed) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: usage: argument --seed: ")
+        assert err.count("\n") == 1 and seed in err
+
     def test_usage_exit_from_argparse(self, capsys):
         assert run("test", "--tester", "simple") == 2
         err = capsys.readouterr().err

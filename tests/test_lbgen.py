@@ -24,8 +24,9 @@ from djunta import (
     neighbor_radius,
     num_support_points,
 )
-from djunta.boolfn import rand_bits
+from djunta.boolfn import rand_bits, rows_of
 from djunta.cli import main
+from djunta.tester import DFTesterConfig, simple_djunta
 from djunta.errors import ContractError, DimensionError, SizeError
 from djunta.lbgen import MAX_SUPPORT_POINTS
 
@@ -122,6 +123,25 @@ def test_gen_no_memory():
         tracemalloc.stop()
     assert len(inst.D.points) == 16336
     assert retained < 4.25 * 2**20
+
+
+def test_simple_runs_build_no_view_state():
+    # The support matrix, keys and labels behind block views and batched
+    # calls (about 2.4 MiB at n = 1200) wait for the first batched call:
+    # neither gen_no, oracle(), scalar evaluation nor simple_djunta, which
+    # uses only the scalar path, builds them, nor a view's scalar calls.
+    rng = np.random.default_rng(6)
+    inst = gen_no(1200, 6, rng)
+    f = inst.oracle()
+    for x in list(inst.D.points[:20]) + [rand_bits(rng, 1200) for _ in range(20)]:
+        f.eval_bits(x)
+    simple_djunta(f, inst.D, DFTesterConfig(k=6, epsilon=1 / 3), rng)
+    assert inst.oracle().backend is f.backend
+    g = f.restrict(range(1, 1001), BitString(1000, 0))
+    g.eval_bits(5)
+    assert f.backend._support is None
+    g.backend.values(rows_of([5], 200))
+    assert f.backend._support is not None
 
 
 def test_generation_validation():

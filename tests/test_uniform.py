@@ -17,7 +17,7 @@ from djunta import (
 from djunta import uniform as uniform_module
 from djunta.boolfn import JuntaBackend, RestrictionBackend, TruthTableBackend
 from djunta.errors import ContractError
-from djunta.lbgen import _HardLabelBackend
+from djunta.lbgen import _HardLabelBackend, _HardLabelView
 
 
 def _parity(k):
@@ -163,7 +163,9 @@ def test_batched_rounds_match_scalar_rounds(monkeypatch):
     spy on every backend's `values` checks that each case reaches the
     batched path, and that the reference never does."""
     batched_rows = []
-    for cls in (TruthTableBackend, JuntaBackend, RestrictionBackend, _HardLabelBackend):
+    for cls in (
+        TruthTableBackend, JuntaBackend, RestrictionBackend, _HardLabelBackend, _HardLabelView
+    ):
         def spy(self, X, _values=cls.values):
             batched_rows.append(len(X))
             return _values(self, X)

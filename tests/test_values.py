@@ -7,9 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from djunta import BitFeed, BitString, FiniteDistribution, FunctionOracle, gen_no, rand_bits
-from djunta.boolfn import RestrictionBackend, TruthTableBackend, rows_of
+from djunta.boolfn import (
+    RestrictionBackend,
+    TruthTableBackend,
+    gather_bits,
+    make_restriction_backend,
+    rows_of,
+    scatter_bits,
+)
 from djunta.errors import ContractError
-from djunta.lbgen import NoInstance, neighbor_radius
+from djunta.lbgen import NoInstance, _HardLabelView, neighbor_radius
 
 WIDTHS = st.sampled_from([1, 2, 63, 64, 65, 128, 300])
 
@@ -102,6 +109,36 @@ def _instance(n, k, S, labels, junta_table):
     return NoInstance(n, k, J, junta_table, tuple(labels), neighbor_radius(n), D)
 
 
+def _partial_view(parent, free, w, points):
+    """A `_HardLabelView` of the parent on `free` (pinned to w), checked
+    against the generic restriction row for row: on `points` through the
+    parent before its first batched call; then, built, on `points` and on
+    points of its own: kept support points, and each of the first 30 with
+    as many coordinates flipped as its slack, and one more (the edge of
+    its ball)."""
+    view = _HardLabelView(parent, free, w)
+    ref = RestrictionBackend(parent, free, w)
+    want = [ref.value(p) for p in points]
+    assert [view.value(p) for p in points] == want and view.exact is None
+    assert view.values(rows_of(points, len(free))).tolist() == want
+    kept = [(p, s) for bucket in view.buckets.values() for p, s, _ in zip(*bucket)]
+    rng = np.random.default_rng(len(free))
+    points = list(points) + [p for p, _ in kept[:30]]
+    points += [_near(rng, p, len(free), s + d) for p, s in kept[:30] for d in (0, 1)]
+    _check(view, points)
+    assert [view.value(p) for p in points] == [ref.value(p) for p in points]
+    return view
+
+
+def _random_view(rng, inst, size, near):
+    """A block of `size` coordinates and a context: a support point's
+    bits off the block when `near`, else random bits."""
+    n = inst.n
+    free = tuple(sorted(int(c) + 1 for c in rng.choice(n, size=size, replace=False)))
+    base = inst.D.points[int(rng.integers(len(inst.D.points)))] if near else rand_bits(rng, n)
+    return free, base & ~scatter_bits((1 << size) - 1, free), base
+
+
 def test_hard_label_rule_cases():
     # n = 10, radius 4, J = {1}: section = coordinate 1.  Section 0 holds
     # a 0-labelled point and a 1-labelled point at distance 2; section 1
@@ -122,6 +159,17 @@ def test_hard_label_rule_cases():
     for x, want in cases.items():
         assert f.value(x) == want
     _check(f, list(cases))
+    # Every view on these blocks, under every context: J = {1} inside the
+    # block or pinned, exact hits on a and b, and contexts that reach
+    # neither point (a bare background junta).
+    kinds = set()
+    for free in ((1, 3, 4), (3, 4, 7, 8), (1, 2, 3, 4, 5, 6, 7)):
+        pinned = [c for c in range(1, n + 1) if c not in free]
+        for bits in range(1 << len(pinned)):
+            w = scatter_bits(bits, pinned)
+            view = _partial_view(f, free, w, list(range(1 << len(free))))
+            kinds.add((bool(view.buckets), bool(view.exact)))
+    assert kinds == {(False, False), (True, False), (True, True)}
 
 
 def test_hard_label_values_n300_and_n64():
@@ -135,6 +183,35 @@ def test_hard_label_values_n300_and_n64():
         points += [_near(rng, p, n, int(rng.integers(1, 2 * radius))) for p in support]
         # points nearer than the radius hit the ball rule; farther ones the background
         _check(f, points)
+
+
+@pytest.mark.parametrize("n, k", [(300, 3), (64, 2)])
+def test_hard_label_views_match_restrictions(n, k):
+    # Random blocks of gen_no(n, k), under a support point's context (many
+    # points kept, exact hits) or a random one (few or none kept), against
+    # the generic restriction; and once with every J coordinate in the block.
+    rng = np.random.default_rng(n)
+    inst = gen_no(n, k, rng)
+    f = inst.oracle().backend
+    seen = {"J inside": 0, "none kept": 0, "exact hit": 0}
+    for trial in range(40):
+        # a random context reaches no point when it pins most coordinates
+        size = int(rng.integers(1, n if trial % 2 else n // 8))
+        free, w, base = _random_view(rng, inst, size, near=trial % 2)
+        if trial == 0:
+            free = tuple(sorted(set(free) | inst.J))
+            w = base & ~scatter_bits((1 << len(free)) - 1, free)
+        z = gather_bits(base, free)
+        near = [_near(rng, z, len(free), int(rng.integers(0, inst.radius))) for _ in range(10)]
+        view = _partial_view(f, free, w, [rand_bits(rng, len(free)) for _ in range(20)] + near)
+        if not view.buckets:
+            seen["none kept"] += 1
+            continue
+        seen["J inside"] += bool(view.jmask)
+        seen["exact hit"] += z in view.exact and view.value(z) == inst.labels[inst.D.points.index(base)]
+    if n == 64:
+        del seen["none kept"]  # a point is nearly always in reach; the n = 10 cases have none
+    assert all(seen.values()), seen
 
 
 @given(st.data())
@@ -151,16 +228,47 @@ def test_hard_label_values_random(data):
     if n > 1:
         fixed = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1)))
         g = f.restrict(fixed, BitString(len(fixed), data.draw(st.integers(0, (1 << len(fixed)) - 1))))
-        _check(g.backend, data.draw(st.lists(st.integers(0, (1 << g.n) - 1), min_size=1, max_size=20)))
+        inner = data.draw(st.lists(st.integers(0, (1 << g.n) - 1), min_size=1, max_size=20))
+        _check(g.backend, inner)
+        free = [c for c in range(1, n + 1) if c not in fixed]
+        w = scatter_bits(data.draw(st.integers(0, (1 << len(fixed)) - 1)), fixed)
+        _partial_view(f.backend, free, w, inner)
 
 
 def test_restricted_hard_label_n1200():
+    # 500 free coordinates, eight words a view point; then a view of that
+    # view, which stays a generic restriction over it.
     inst = gen_no(1200, 1, np.random.default_rng(1))
     f = inst.oracle()
     rng = np.random.default_rng(2)
     fixed = sorted(int(c) + 1 for c in rng.choice(1200, size=700, replace=False))
-    g = f.restrict(fixed, BitString(700, rand_bits(rng, 700)))
-    _check(g.backend, [rand_bits(rng, g.n) for _ in range(30)])
+    wfix = rand_bits(rng, 700)
+    g = f.restrict(fixed, BitString(700, wfix))
+    assert isinstance(g.backend, _HardLabelView)
+    points = [rand_bits(rng, g.n) for _ in range(30)]
+    _check(g.backend, points)
+    free = [c for c in range(1, 1201) if c not in fixed]
+    ctx = scatter_bits(wfix, fixed)
+    _partial_view(f.backend, free, ctx, points)
+    inner = sorted(int(c) + 1 for c in rng.choice(500, size=200, replace=False))
+    pinned = [t for t in range(1, 501) if t not in inner]
+    w2 = scatter_bits(rand_bits(rng, 300), pinned)
+    nested = make_restriction_backend(g.backend, inner, w2)
+    assert type(nested) is RestrictionBackend
+    flat = RestrictionBackend(f.backend, [free[t - 1] for t in inner], ctx | scatter_bits(w2, free))
+    pts = [rand_bits(rng, 200) for _ in range(20)]
+    _check(nested, pts)
+    assert [nested.value(p) for p in pts] == [flat.value(p) for p in pts]
+
+
+def test_hard_label_view_dispatch():
+    # A wide parent's block views are `_HardLabelView`s; a one-word
+    # parent keeps the generic restriction, which is cheaper there.
+    for n, k, want in ((300, 3, _HardLabelView), (65, 2, _HardLabelView), (64, 2, RestrictionBackend)):
+        inst = gen_no(n, k, np.random.default_rng(0))
+        fixed = range(1, n // 2)
+        w = BitString(len(fixed), gather_bits(inst.D.points[0], fixed))
+        assert type(inst.oracle().restrict(fixed, w).backend) is want
 
 
 # ---------------------------------------------------------------------------
